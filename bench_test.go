@@ -881,69 +881,6 @@ func BenchmarkLandscapeScan(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedMatMul compares one fused batched multiply over G
-// parameter groups against the loop of G solo multiplies it replaces —
-// the kernel-level half of the multi-client fusion story. Results are
-// bit-identical by construction (TestBatchMatMulMatchesLooped); the
-// delta is pure dispatch and locality.
-func BenchmarkBatchedMatMul(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	const G, m, k, n = 8, 32, 64, 64
-	a := rng.Uniform(-1, 1, G, m, k)
-	w := rng.Uniform(-1, 1, G, k, n)
-	dst := tensor.Zeros(G, m, n)
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tensor.BatchMatMulTo(dst, a, w)
-		}
-	})
-	b.Run("looped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for g := 0; g < G; g++ {
-				tensor.MatMulTo(
-					tensor.New(dst.Data[g*m*n:(g+1)*m*n], m, n),
-					tensor.New(a.Data[g*m*k:(g+1)*m*k], m, k),
-					tensor.New(w.Data[g*k*n:(g+1)*k*n], k, n))
-			}
-		}
-	})
-}
-
-// BenchmarkTrainAllFanout measures a CNN cohort of 8 clients trained at
-// increasing fusion widths on one worker. fanout=1 is the solo reference
-// path; higher fan-outs amortize per-layer dispatch across clients while
-// returning bit-identical results (TestBatchFanoutBitIdentical).
-func BenchmarkTrainAllFanout(b *testing.B) {
-	cfg := data.VisionConfig{
-		Classes: 10, Features: models.VisionFeatures,
-		TrainPerClass: 40, TestPerClass: 1,
-		ModesPerClass: 2, Sep: 0.6, Noise: 0.8, Seed: 1,
-	}
-	const clients = 8
-	fed := data.BuildVision(cfg, clients, data.Heterogeneity{IID: true}, 2)
-	env := &fl.Env{Fed: fed, Model: models.CNN(10)}
-	init := nn.FlattenParams(env.Model.New(tensor.NewRNG(1)).Params())
-	rng := tensor.NewRNG(3)
-	for _, fanout := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("fanout%d", fanout), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				jobs := make([]fl.LocalJob, clients)
-				for c := range jobs {
-					jobs[c] = fl.LocalJob{
-						Client: c,
-						Spec: fl.LocalSpec{Init: init, Epochs: 1, BatchSize: 25,
-							LR: 0.03, Momentum: 0.5},
-						RNG: rng.Split(),
-					}
-				}
-				if _, err := fl.TrainAllFanout(env, jobs, fl.Limit(1), fanout); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFaultedRound measures the round engine under the full fault
 // mix — crashes, wire drops/truncation/corruption, duplicates, retries
 // and a quorum — against the identical benign configuration. The

@@ -128,6 +128,15 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	// Churn and dropout act on a round's cohort, which the async engine
+	// does not have; refuse them rather than silently run the static,
+	// always-on fleet.
+	if cfg.Churn.Active() {
+		return nil, fmt.Errorf("fl: RunAsync: Churn is not supported by the async engine (synchronous Run only)")
+	}
+	if cfg.DropoutRate > 0 {
+		return nil, fmt.Errorf("fl: RunAsync: DropoutRate = %v is not supported by the async engine (synchronous Run only)", cfg.DropoutRate)
+	}
 	opts = opts.resolve(cfg)
 	n := env.NumClients()
 	if n == 0 {
@@ -153,8 +162,8 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	// bit-unchanged. Fault decisions key on (dispatch seq, client), so
 	// they are identical at every worker count and free to recompute on
 	// resume. Client churn is a round-calendar concept and applies to the
-	// synchronous engine only; its stream is still reserved here so the
-	// two engines' split orders stay parallel.
+	// synchronous engine only (RunAsync rejects it above); its stream is
+	// still reserved here so the two engines' split orders stay parallel.
 	faultRNG := rng.Split()
 	_ = rng.Split() // churn stream, reserved
 	faults := NewFaultPlan(cfg.Faults, faultRNG.Int63())
@@ -459,7 +468,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 						crashes: crashes, faultDrops: faultDrops, dups: duplicates,
 						stalls: stallCount, degraded: degraded,
 						bytesDown: hist.BytesDown, bytesUp: hist.BytesUp,
-						selState:  selRNG.State(), timeState: timeRNG.State(), jobState: jobRNG.State(),
+						selState: selRNG.State(), timeState: timeRNG.State(), jobState: jobRNG.State(),
 						available: available, global: global, metrics: hist.Metrics,
 					}
 					snap.jobs = make([]asyncJobSnap, len(inflight))
@@ -515,7 +524,7 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 			RNG: j.rng,
 		}
 	}
-	results, err := TrainAllFanout(env, jobs, cfg.Allowance(), cfg.BatchFanout)
+	results, err := TrainAll(env, jobs, cfg.Allowance())
 	if err != nil {
 		return err
 	}

@@ -35,6 +35,25 @@ func TestAsyncOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestAsyncRejectsRoundKnobs: churn and dropout act on a round's cohort,
+// which the async engine does not have, so RunAsync must refuse each by
+// name instead of silently running the static fleet.
+func TestAsyncRejectsRoundKnobs(t *testing.T) {
+	for knob, set := range map[string]func(*Config){
+		"Churn":       func(c *Config) { c.Churn = ChurnOptions{Availability: 0.3, PeriodRounds: 4, Jitter: 0.3} },
+		"DropoutRate": func(c *Config) { c.DropoutRate = 0.2 },
+	} {
+		t.Run(knob, func(t *testing.T) {
+			cfg := asyncCfg(1, 0)
+			set(&cfg)
+			_, err := RunAsync(testEnv(31, 8), cfg, AsyncOptions{Buffer: 2, InFlight: 3, Commits: 2})
+			if err == nil || !strings.Contains(err.Error(), knob) {
+				t.Fatalf("err = %v, want an error naming %s", err, knob)
+			}
+		})
+	}
+}
+
 func TestAsyncRunsAndAccounts(t *testing.T) {
 	env := testEnv(31, 8)
 	opts := AsyncOptions{Buffer: 3, InFlight: 4, Commits: 5}

@@ -23,7 +23,7 @@ package tensor
 
 // Backend is the pluggable kernel implementation behind the tensor
 // package's destination-passing entry points (MatMulTo and friends,
-// BatchMatMulTo and friends, AddTo, ScaleTo, AXPY, AddRowTo, ColSumAcc).
+// AddTo, ScaleTo, AXPY, AddRowTo, ColSumAcc).
 type Backend interface {
 	// Name identifies the backend in logs and reports.
 	Name() string
@@ -37,9 +37,8 @@ type Backend interface {
 	// GemmBatch runs `groups` independent Gemms over group-strided slabs
 	// of one contiguous buffer each: group g multiplies
 	// a[g*strideA:]·b[g*strideB:] into dst[g*strideD:]. strideA == 0
-	// broadcasts a single a operand across every group (the shared-weight
-	// convolution form). Each group's result is bit-identical to a
-	// standalone Gemm call on its slab.
+	// broadcasts a single a operand across every group. Each group's
+	// result is bit-identical to a standalone Gemm call on its slab.
 	GemmBatch(dst, a, b []float64, groups, m, k, n, strideD, strideA, strideB int, transA, transB, acc bool)
 
 	// GemmTransBSegAcc computes dst += a·bᵀ (dst m×n, a m×k stored

@@ -7,7 +7,7 @@ import (
 )
 
 // equalBits fails the test at the first element whose bit pattern
-// differs — the batched/backends contract is exact, not approximate.
+// differs — the lowering/backends contract is exact, not approximate.
 func equalBits(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -18,76 +18,6 @@ func equalBits(t *testing.T, name string, got, want []float64) {
 			t.Fatalf("%s: element %d: %v vs %v", name, i, got[i], want[i])
 		}
 	}
-}
-
-// TestBatchMatMulMatchesLooped pins every BatchMatMul* form against a
-// loop of the corresponding single-matmul kernel over per-group views —
-// the per-group bit-identity contract the batched nn layers rely on.
-func TestBatchMatMulMatchesLooped(t *testing.T) {
-	rng := NewRNG(3)
-	const G, m, k, n = 3, 4, 5, 6
-	a := rng.Uniform(-1, 1, G, m, k)
-	dstB := Zeros(G, m, n)
-	dstL := Zeros(G, m, n)
-	groupView := func(t3 *Tensor, g, r, c int) *Tensor {
-		return New(t3.Data[g*r*c:(g+1)*r*c], r, c)
-	}
-
-	t.Run("NN", func(t *testing.T) {
-		b := rng.Uniform(-1, 1, G, k, n)
-		BatchMatMulTo(dstB, a, b)
-		for g := 0; g < G; g++ {
-			MatMulTo(groupView(dstL, g, m, n), groupView(a, g, m, k), groupView(b, g, k, n))
-		}
-		equalBits(t, "to", dstB.Data, dstL.Data)
-		BatchMatMulAcc(dstB, a, b)
-		for g := 0; g < G; g++ {
-			MatMulAcc(groupView(dstL, g, m, n), groupView(a, g, m, k), groupView(b, g, k, n))
-		}
-		equalBits(t, "acc", dstB.Data, dstL.Data)
-	})
-
-	t.Run("TransA", func(t *testing.T) {
-		// a slab (G×m×k) holds each group's logical k×m operand.
-		b := rng.Uniform(-1, 1, G, m, n)
-		dB := Zeros(G, k, n)
-		dL := Zeros(G, k, n)
-		BatchMatMulTransATo(dB, a, b)
-		for g := 0; g < G; g++ {
-			MatMulTransATo(groupView(dL, g, k, n), groupView(a, g, m, k), groupView(b, g, m, n))
-		}
-		equalBits(t, "to", dB.Data, dL.Data)
-		BatchMatMulTransAAcc(dB, a, b)
-		for g := 0; g < G; g++ {
-			MatMulTransAAcc(groupView(dL, g, k, n), groupView(a, g, m, k), groupView(b, g, m, n))
-		}
-		equalBits(t, "acc", dB.Data, dL.Data)
-	})
-
-	t.Run("TransB", func(t *testing.T) {
-		b := rng.Uniform(-1, 1, G, n, k)
-		BatchMatMulTransBTo(dstB, a, b)
-		for g := 0; g < G; g++ {
-			MatMulTransBTo(groupView(dstL, g, m, n), groupView(a, g, m, k), groupView(b, g, n, k))
-		}
-		equalBits(t, "to", dstB.Data, dstL.Data)
-		BatchMatMulTransBAcc(dstB, a, b)
-		for g := 0; g < G; g++ {
-			MatMulTransBAcc(groupView(dstL, g, m, n), groupView(a, g, m, k), groupView(b, g, n, k))
-		}
-		equalBits(t, "acc", dstB.Data, dstL.Data)
-	})
-
-	t.Run("BroadcastA", func(t *testing.T) {
-		// Rank-2 a multiplies every group by the same matrix.
-		a2 := rng.Uniform(-1, 1, m, k)
-		b := rng.Uniform(-1, 1, G, k, n)
-		BatchMatMulTo(dstB, a2, b)
-		for g := 0; g < G; g++ {
-			MatMulTo(groupView(dstL, g, m, n), a2, groupView(b, g, k, n))
-		}
-		equalBits(t, "to", dstB.Data, dstL.Data)
-	})
 }
 
 // TestIm2ColBatchMatchesPerSample pins the fused whole-batch lowering
@@ -146,8 +76,11 @@ func TestIm2ColBatchMatchesPerSample(t *testing.T) {
 // TestBackendsBitIdentical runs the full matmul family under the
 // platform-default backend and under the pure-Go backend on identical
 // inputs and requires exact bitwise agreement — the accelerated
-// backend's core contract. On platforms where the default IS GoBackend
-// the test degenerates to a self-comparison and passes trivially.
+// backend's core contract. Backend.GemmBatch, which no MatMul* wrapper
+// reaches, is additionally pinned under each backend against a loop of
+// that backend's own Gemm calls. On platforms where the default IS
+// GoBackend the cross-backend comparisons degenerate to self-comparisons
+// and pass trivially.
 func TestBackendsBitIdentical(t *testing.T) {
 	platform := CurrentBackend()
 	defer SetBackend(platform)
@@ -201,6 +134,31 @@ func TestBackendsBitIdentical(t *testing.T) {
 	MatMulTransAAcc(dA2, a, bm)
 	SetBackend(platform)
 	equalBits(t, "MatMulTransAAcc", dA1.Data, dA2.Data)
+
+	// GemmBatch: G groups of dst (m×n) = or += a·b over strided slabs, and the
+	// broadcast form (strideA == 0) sharing one a across every group.
+	const G = 3
+	ga := rng.Uniform(-1, 1, G, m, k)
+	gb := rng.Uniform(-1, 1, G, k, n)
+	gseed := rng.Uniform(-1, 1, G, m, n)
+	for _, be := range []Backend{platform, GoBackend{}} {
+		for _, c := range []struct {
+			name    string
+			a       []float64
+			strideA int
+		}{{"strided", ga.Data, m * k}, {"broadcast", a.Data, 0}} {
+			name := "GemmBatch/" + c.name + "/" + be.Name()
+			for _, acc := range []bool{false, true} {
+				batched := append([]float64(nil), gseed.Data...)
+				looped := append([]float64(nil), gseed.Data...)
+				be.GemmBatch(batched, c.a, gb.Data, G, m, k, n, m*n, c.strideA, k*n, false, false, acc)
+				for g := 0; g < G; g++ {
+					be.Gemm(looped[g*m*n:], c.a[g*c.strideA:], gb.Data[g*k*n:], m, k, n, false, false, acc)
+				}
+				equalBits(t, name, batched, looped)
+			}
+		}
+	}
 }
 
 // TestFloat16EncodeSliceMatchesScalar pins the unrolled fp16 encoder
