@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"testing"
 
 	"fedcross/internal/nn"
@@ -129,5 +130,54 @@ func TestVisionModelsTrainable(t *testing.T) {
 				t.Fatalf("%s: NaN after SGD step", f.Name)
 			}
 		}
+	}
+}
+
+// TestBackwardParamsMatchesBackward: the param-only backward that local
+// training uses must accumulate every parameter gradient bit-identically
+// to the full Backward, for every factory (first layer Conv2D, Linear or
+// Embedding). Two steps without ZeroGrads also cover accumulation.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	const batch = 5
+	tokens := func(rng *tensor.RNG, vocab, seqLen int) *tensor.Tensor {
+		x := tensor.Zeros(batch, seqLen)
+		for i := range x.Data {
+			x.Data[i] = float64(rng.Intn(vocab))
+		}
+		return x
+	}
+	cases := []struct {
+		f Factory
+		x func(rng *tensor.RNG) *tensor.Tensor
+	}{
+		{CNN(10), func(rng *tensor.RNG) *tensor.Tensor { return rng.Randn(1, batch, VisionFeatures) }},
+		{ResNetMini(10), func(rng *tensor.RNG) *tensor.Tensor { return rng.Randn(1, batch, VisionFeatures) }},
+		{VGGMini(10), func(rng *tensor.RNG) *tensor.Tensor { return rng.Randn(1, batch, VisionFeatures) }},
+		{MLP(12, 16, 4), func(rng *tensor.RNG) *tensor.Tensor { return rng.Randn(1, batch, 12) }},
+		{CharLSTM(20, 6, 4, 8), func(rng *tensor.RNG) *tensor.Tensor { return tokens(rng, 20, 6) }},
+		{SentLSTM(30, 5, 4, 8), func(rng *tensor.RNG) *tensor.Tensor { return tokens(rng, 30, 5) }},
+	}
+	for _, c := range cases {
+		t.Run(c.f.Name, func(t *testing.T) {
+			full, params := c.f.New(tensor.NewRNG(7)), c.f.New(tensor.NewRNG(7))
+			rng := tensor.NewRNG(8)
+			for step := 0; step < 2; step++ {
+				x := c.x(rng)
+				labels := make([]int, batch)
+				for i := range labels {
+					labels[i] = rng.Intn(2)
+				}
+				_, grad := nn.SoftmaxCrossEntropy(full.Forward(x, true), labels)
+				full.Backward(grad)
+				_, grad = nn.SoftmaxCrossEntropy(params.Forward(x, true), labels)
+				params.BackwardParams(grad)
+			}
+			want, got := nn.FlattenParams(full.Grads()), nn.FlattenParams(params.Grads())
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("grad %d: BackwardParams %v, Backward %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

@@ -9,10 +9,29 @@ import (
 // Steady-state allocation contracts: after a warm-up pass sizes every
 // reused buffer, a training step (forward + loss + backward + SGD) must
 // not allocate. These tests enforce the zero-allocation property of the
-// destination-passing kernels end to end, per layer stack.
+// destination-passing kernels end to end, per layer stack, for both the
+// full Backward and the param-only BackwardParams that local training
+// runs.
 
-func trainStepAllocs(t *testing.T, net *Sequential, x *tensor.Tensor, labels []int) float64 {
+// checkTrainStepZeroAlloc fails unless a warmed training step allocates
+// nothing under either backward.
+func checkTrainStepZeroAlloc(t *testing.T, name string, net *Sequential, x *tensor.Tensor, labels []int) {
 	t.Helper()
+	backwards := []struct {
+		name string
+		run  func(*tensor.Tensor)
+	}{
+		{"BackwardParams", net.BackwardParams},
+		{"Backward", func(g *tensor.Tensor) { net.Backward(g) }},
+	}
+	for _, bw := range backwards {
+		if allocs := trainStepAllocs(net, x, labels, bw.run); allocs != 0 {
+			t.Errorf("%s training step with %s allocates %v objects/op, want 0", name, bw.name, allocs)
+		}
+	}
+}
+
+func trainStepAllocs(net *Sequential, x *tensor.Tensor, labels []int, backward func(*tensor.Tensor)) float64 {
 	opt := NewSGD(0.05, 0.5)
 	params, grads := net.Params(), net.Grads()
 	dlogits := tensor.Zeros(x.Shape[0], 1) // resized after the first forward
@@ -21,7 +40,7 @@ func trainStepAllocs(t *testing.T, net *Sequential, x *tensor.Tensor, labels []i
 		logits := net.Forward(x, true)
 		dlogits = tensor.Ensure(dlogits, logits.Shape...)
 		SoftmaxCrossEntropyInto(dlogits, logits, labels)
-		net.Backward(dlogits)
+		backward(dlogits)
 		opt.Step(params, grads)
 	}
 	// Warm up: size every Ensure'd buffer and the SGD velocity.
@@ -40,9 +59,7 @@ func TestTrainStepZeroAllocMLP(t *testing.T) {
 	)
 	x := rng.Randn(1, 8, 12)
 	labels := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	if allocs := trainStepAllocs(t, net, x, labels); allocs != 0 {
-		t.Fatalf("MLP training step allocates %v objects/op, want 0", allocs)
-	}
+	checkTrainStepZeroAlloc(t, "MLP", net, x, labels)
 }
 
 func TestTrainStepZeroAllocCNN(t *testing.T) {
@@ -57,9 +74,7 @@ func TestTrainStepZeroAllocCNN(t *testing.T) {
 	)
 	x := rng.Randn(1, 6, 64)
 	labels := []int{0, 1, 2, 3, 0, 1}
-	if allocs := trainStepAllocs(t, net, x, labels); allocs != 0 {
-		t.Fatalf("CNN training step allocates %v objects/op, want 0", allocs)
-	}
+	checkTrainStepZeroAlloc(t, "CNN", net, x, labels)
 }
 
 func TestTrainStepZeroAllocLSTM(t *testing.T) {
@@ -70,7 +85,5 @@ func TestTrainStepZeroAllocLSTM(t *testing.T) {
 	)
 	x := rng.Randn(1, 4, 30)
 	labels := []int{0, 1, 2, 0}
-	if allocs := trainStepAllocs(t, net, x, labels); allocs != 0 {
-		t.Fatalf("LSTM training step allocates %v objects/op, want 0", allocs)
-	}
+	checkTrainStepZeroAlloc(t, "LSTM", net, x, labels)
 }

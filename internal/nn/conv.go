@@ -8,17 +8,18 @@ import (
 
 // Conv2D is a 2-D convolution over CHW images carried in flattened
 // (batch × C·H·W) activations. The spatial geometry is fixed at
-// construction; the forward pass lowers the whole minibatch with a
-// batched im2col into one fused (colRows × batch·spatial) workspace, so
-// the convolution is a single matrix multiply per layer per step instead
-// of one per sample — the kernels finally see matrices big enough to
-// amortize their blocking.
+// construction, and so is its im2col offset table (tensor.ConvTable); the
+// forward pass gathers the whole minibatch through that table into one
+// (colRows × batch·spatial) workspace, so the convolution is a single
+// matrix multiply per layer per step instead of one per sample.
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	OutC   int
 	W      *tensor.Tensor // (OutC × InC*KH*KW)
 	B      *tensor.Tensor // (OutC)
 	dW, dB *tensor.Tensor
+
+	tab *tensor.ConvTable // im2col offsets for Geom, built once
 
 	// Reusable workspaces, refreshed per call via tensor.Ensure so
 	// steady-state batches allocate nothing. cols is the fused im2col
@@ -33,17 +34,16 @@ type Conv2D struct {
 // NewConv2D constructs a convolution with the given geometry and output
 // channel count, Kaiming-uniform initialised.
 func NewConv2D(g tensor.ConvGeom, outC int, rng *tensor.RNG) *Conv2D {
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
+	tab := tensor.NewConvTable(g) // panics on a degenerate geometry
 	fanIn := g.InC * g.KH * g.KW
 	bound := math.Sqrt(6.0 / float64(fanIn))
 	return &Conv2D{
 		Geom: g, OutC: outC,
-		W:  rng.Uniform(-bound, bound, outC, fanIn),
-		B:  tensor.Zeros(outC),
-		dW: tensor.Zeros(outC, fanIn),
-		dB: tensor.Zeros(outC),
+		W:   rng.Uniform(-bound, bound, outC, fanIn),
+		B:   tensor.Zeros(outC),
+		dW:  tensor.Zeros(outC, fanIn),
+		dB:  tensor.Zeros(outC),
+		tab: tab,
 	}
 }
 
@@ -62,7 +62,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	spatial := c.Geom.OutH() * c.Geom.OutW()
 	colRows := c.Geom.InC * c.Geom.KH * c.Geom.KW
 	c.cols = tensor.Ensure(c.cols, colRows, batch*spatial)
-	tensor.Im2ColBatchTo(c.cols, x, c.Geom)
+	c.tab.Gather(c.cols, x)
 	c.y = tensor.Ensure(c.y, c.OutC, batch*spatial)
 	tensor.MatMulTo(c.y, c.W, c.cols) // every sample in one multiply
 	c.out = tensor.Ensure(c.out, batch, c.OutC*spatial)
@@ -81,17 +81,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.out
 }
 
-// Backward accumulates dW/dB and returns the input gradient, again as
-// one fused multiply per gradient: dW via a segment-accumulating
-// transposed-B kernel whose per-sample segments reproduce the old
-// per-sample accumulate chain, dcols via one transposed-A multiply, and
-// dx via the batched col2im scatter.
+// Backward accumulates dW/dB and returns the input gradient: the
+// parameter half (backwardParams), then dcols = Wᵀ · dy as one
+// transposed-A multiply for the whole batch and dx via the table scatter.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(grad)
+	batch := grad.Shape[0]
+	colRows := c.Geom.InC * c.Geom.KH * c.Geom.KW
+	c.dcols = tensor.Ensure(c.dcols, colRows, batch*c.Geom.OutH()*c.Geom.OutW())
+	tensor.MatMulTransATo(c.dcols, c.W, c.dy)
+	c.dx = tensor.Ensure(c.dx, batch, c.InFeatures())
+	return c.tab.Scatter(c.dx, c.dcols)
+}
+
+// backwardParams accumulates dW/dB only. dW comes from a
+// segment-accumulating transposed-B kernel whose per-sample segments
+// reproduce the per-sample accumulate chain; it leaves the channel-major
+// gradient in c.dy for Backward's input half.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	checkBatch("Conv2D.Backward", grad, c.OutFeatures())
 	batch := grad.Shape[0]
 	spatial := c.Geom.OutH() * c.Geom.OutW()
-	colRows := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	inLen := c.InFeatures()
 	// Gather the sample-major incoming gradient into channel-major dy so
 	// its layout matches the fused cols workspace (pure copy, no FP ops).
 	c.dy = tensor.Ensure(c.dy, c.OutC, batch*spatial)
@@ -119,12 +129,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		c.dB.Data[oc] = acc
 	}
-	// dcols = Wᵀ · dy for all samples at once; dx = col2im per sample.
-	c.dcols = tensor.Ensure(c.dcols, colRows, batch*spatial)
-	tensor.MatMulTransATo(c.dcols, c.W, c.dy)
-	c.dx = tensor.Ensure(c.dx, batch, inLen)
-	tensor.Col2ImBatchTo(c.dx, c.dcols, c.Geom)
-	return c.dx
 }
 
 // Params returns {W, B}.

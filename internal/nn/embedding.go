@@ -58,6 +58,14 @@ func (e *Embedding) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward scatters gradients into the embedding rows. The returned input
 // gradient is zero (token IDs are not differentiable).
 func (e *Embedding) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	e.backwardParams(grad)
+	e.dx = tensor.Ensure(e.dx, grad.Shape[0], e.t)
+	e.dx.Zero()
+	return e.dx
+}
+
+// backwardParams scatters gradients into the embedding rows.
+func (e *Embedding) backwardParams(grad *tensor.Tensor) {
 	if grad.Shape[1] != e.t*e.D {
 		panic(fmt.Sprintf("nn: Embedding.Backward: grad width %d, want %d", grad.Shape[1], e.t*e.D))
 	}
@@ -68,10 +76,6 @@ func (e *Embedding) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dst[j] += src[j]
 		}
 	}
-	// Token IDs are not differentiable; the input gradient is always zero.
-	e.dx = tensor.Ensure(e.dx, grad.Shape[0], e.t)
-	e.dx.Zero()
-	return e.dx
 }
 
 // Params returns {W}.

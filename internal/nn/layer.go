@@ -12,6 +12,9 @@
 //     layer instance must not be shared between concurrent training runs.
 //   - Backward receives dLoss/dOutput and returns dLoss/dInput, and
 //     accumulates parameter gradients internally (read via Grads).
+//     Training loops that discard the network's input gradient call
+//     Sequential.BackwardParams instead, which lets the first layer skip
+//     computing it.
 package nn
 
 import (
@@ -32,6 +35,13 @@ type Layer interface {
 	Params() []*tensor.Tensor
 	// Grads returns gradient tensors aligned with Params.
 	Grads() []*tensor.Tensor
+}
+
+// paramBackwarder is implemented by layers whose Backward can be split:
+// backwardParams accumulates exactly the parameter gradients Backward
+// would, without computing the input gradient.
+type paramBackwarder interface {
+	backwardParams(grad *tensor.Tensor)
 }
 
 // Sequential chains layers. It implements Layer itself, so blocks nest.
@@ -63,6 +73,24 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.Layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// BackwardParams is Backward for callers that discard dLoss/dInput, such
+// as a training step on raw inputs. Every parameter gradient accumulates
+// bit-identically to Backward, but the first layer, when it supports it
+// (Conv2D, Linear, Embedding), skips its input-gradient half.
+func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	if len(s.Layers) == 0 {
+		return
+	}
+	if pb, ok := s.Layers[0].(paramBackwarder); ok {
+		pb.backwardParams(grad)
+	} else {
+		s.Layers[0].Backward(grad)
+	}
 }
 
 // Params returns the concatenation of all layer parameters, in layer

@@ -44,15 +44,18 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.out
 }
 
-// Backward accumulates dW, dB and returns dLoss/dInput.
+// Backward accumulates dW, dB and returns dLoss/dInput = grad · Wᵀ.
 func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(grad)
+	l.dx = tensor.Ensure(l.dx, grad.Shape[0], l.In)
+	return tensor.MatMulTransBTo(l.dx, grad, l.W)
+}
+
+// backwardParams accumulates dW += xᵀ · grad and dB += Σ_batch grad.
+func (l *Linear) backwardParams(grad *tensor.Tensor) {
 	checkBatch("Linear.Backward", grad, l.Out)
-	// dW += xᵀ · grad ; dB += Σ_batch grad ; dx = grad · Wᵀ
 	tensor.MatMulTransAAcc(l.dW, l.x, grad)
 	tensor.ColSumAcc(l.dB, grad)
-	batch := grad.Shape[0]
-	l.dx = tensor.Ensure(l.dx, batch, l.In)
-	return tensor.MatMulTransBTo(l.dx, grad, l.W)
 }
 
 // Params returns {W, B}.

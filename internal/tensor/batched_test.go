@@ -20,59 +20,6 @@ func equalBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestIm2ColBatchMatchesPerSample pins the fused whole-batch lowering
-// (and its span-specialized fast paths) against per-sample Im2ColTo, and
-// the batched scatter against per-sample Col2ImTo, across strides,
-// paddings and kernel shapes.
-func TestIm2ColBatchMatchesPerSample(t *testing.T) {
-	rng := NewRNG(9)
-	geoms := []ConvGeom{
-		{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}, // middle-tap fusion
-		{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 0},
-		{InC: 3, InH: 5, InW: 7, KH: 2, KW: 2, Stride: 1, Pad: 1},
-		{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		{InC: 1, InH: 4, InW: 4, KH: 1, KW: 1, Stride: 1, Pad: 0},
-		{InC: 2, InH: 6, InW: 4, KH: 3, KW: 3, Stride: 3, Pad: 2},
-	}
-	const B = 3
-	for gi, g := range geoms {
-		inLen := g.InC * g.InH * g.InW
-		rows := g.InC * g.KH * g.KW
-		spatial := g.OutH() * g.OutW()
-		imgs := rng.Uniform(-1, 1, B, inLen)
-		fused := Zeros(rows, B*spatial)
-		// Poison the workspace: the kernel promises gap clearing.
-		for i := range fused.Data {
-			fused.Data[i] = math.NaN()
-		}
-		Im2ColBatchTo(fused, imgs, g)
-		for b := 0; b < B; b++ {
-			solo := Im2ColTo(Zeros(rows, spatial), New(imgs.Data[b*inLen:(b+1)*inLen], g.InC, g.InH, g.InW), g)
-			for r := 0; r < rows; r++ {
-				for s := 0; s < spatial; s++ {
-					got := fused.Data[r*B*spatial+b*spatial+s]
-					want := solo.Data[r*spatial+s]
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("geom %d sample %d row %d col %d: %v vs %v", gi, b, r, s, got, want)
-					}
-				}
-			}
-		}
-
-		cols := rng.Uniform(-1, 1, rows, B*spatial)
-		dx := Zeros(B, inLen)
-		Col2ImBatchTo(dx, cols, g)
-		for b := 0; b < B; b++ {
-			soloCols := Zeros(rows, spatial)
-			for r := 0; r < rows; r++ {
-				copy(soloCols.Data[r*spatial:(r+1)*spatial], cols.Data[r*B*spatial+b*spatial:r*B*spatial+(b+1)*spatial])
-			}
-			solo := Col2ImTo(Zeros(g.InC, g.InH, g.InW), soloCols, g)
-			equalBits(t, "col2im", dx.Data[b*inLen:(b+1)*inLen], solo.Data)
-		}
-	}
-}
-
 // TestBackendsBitIdentical runs the full matmul family under the
 // platform-default backend and under the pure-Go backend on identical
 // inputs and requires exact bitwise agreement — the accelerated

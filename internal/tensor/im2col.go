@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ConvGeom describes the geometry of a 2-D convolution over CHW images.
 type ConvGeom struct {
@@ -33,103 +36,119 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers a single CHW image to a matrix of shape
-// (InC*KH*KW) × (OutH*OutW), so convolution becomes one MatMul.
-// img must have InC*InH*InW elements (any shape).
-func Im2Col(img *Tensor, g ConvGeom) *Tensor {
-	oh, ow := g.OutH(), g.OutW()
-	return Im2ColTo(Zeros(g.InC*g.KH*g.KW, oh*ow), img, g)
+// ConvTable is a convolution's im2col lowering precomputed as data: for
+// every workspace cell (tap row r = (c, kh, kw), output position
+// s = (oy, ox)) it holds the offset of the image element that cell reads
+// within one flattened CHW sample, or -1 where the tap falls in the
+// padding. Gather and Scatter are then one table walk each, with no
+// per-geometry special cases. The table depends only on the geometry, so
+// a layer builds it once and reuses it for every batch.
+type ConvTable struct {
+	geom ConvGeom
+	off  []int32 // (InC·KH·KW) × (OutH·OutW), row-major
 }
 
-// Im2ColTo is Im2Col writing into a caller-owned workspace of shape
-// (InC*KH*KW) × (OutH*OutW). dst must not alias img. Padding gaps are
-// cleared, so a reused workspace needs no prior Zero.
-func Im2ColTo(dst, img *Tensor, g ConvGeom) *Tensor {
-	if img.Len() != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col input has %d elements, geometry wants %d", img.Len(), g.InC*g.InH*g.InW))
+// NewConvTable builds the offset table for g. It panics on a degenerate
+// geometry or one whose sample is too large for int32 offsets.
+func NewConvTable(g ConvGeom) *ConvTable {
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	if g.InC*g.InH*g.InW > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: conv sample of %d elements overflows int32 offsets", g.InC*g.InH*g.InW))
 	}
 	oh, ow := g.OutH(), g.OutW()
-	rows := g.InC * g.KH * g.KW
-	cols := oh * ow
-	if dst.Rank() != 2 || dst.Shape[0] != rows || dst.Shape[1] != cols {
-		panic(fmt.Sprintf("tensor: Im2ColTo destination shape %v, want [%d %d]", dst.Shape, rows, cols))
-	}
-	out := dst
-	if g.Pad > 0 {
-		// Out-of-image taps are never written below; clear stale contents.
-		out.Zero()
-	}
-	src := img.Data
+	off := make([]int32, 0, g.InC*g.KH*g.KW*oh*ow)
 	for c := 0; c < g.InC; c++ {
-		chanOff := c * g.InH * g.InW
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				row := (c*g.KH+kh)*g.KW + kw
-				dst := out.Data[row*cols : (row+1)*cols]
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*g.Stride + kh - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue
-					}
-					rowOff := chanOff + iy*g.InW
 					for ox := 0; ox < ow; ox++ {
 						ix := ox*g.Stride + kw - g.Pad
-						if ix < 0 || ix >= g.InW {
-							continue
+						o := int32(-1)
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							o = int32((c*g.InH+iy)*g.InW + ix)
 						}
-						dst[oy*ow+ox] = src[rowOff+ix]
+						off = append(off, o)
 					}
 				}
 			}
 		}
 	}
-	return out
+	return &ConvTable{geom: g, off: off}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a (InC*KH*KW)×(OutH*OutW)
-// gradient matrix back into a CHW image gradient, summing overlaps.
-func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
-	return Col2ImTo(Zeros(g.InC, g.InH, g.InW), cols, g)
+// shapes checks a (B × InC·InH·InW) image batch against a
+// (InC·KH·KW) × (B·OutH·OutW) workspace and returns the batch size, the
+// per-sample feature count, the tap-row count and the per-sample output
+// size.
+func (t *ConvTable) shapes(op string, imgs, cols *Tensor) (batch, feat, rows, spatial int) {
+	g := t.geom
+	feat = g.InC * g.InH * g.InW
+	if imgs.Rank() != 2 || imgs.Shape[1] != feat {
+		panic(fmt.Sprintf("tensor: %s image batch shape %v, want [B %d]", op, imgs.Shape, feat))
+	}
+	batch = imgs.Shape[0]
+	rows = g.InC * g.KH * g.KW
+	spatial = g.OutH() * g.OutW()
+	if cols.Rank() != 2 || cols.Shape[0] != rows || cols.Shape[1] != batch*spatial {
+		panic(fmt.Sprintf("tensor: %s workspace shape %v, want [%d %d]", op, cols.Shape, rows, batch*spatial))
+	}
+	return batch, feat, rows, spatial
 }
 
-// Col2ImTo is Col2Im scattering into a caller-owned image-gradient buffer
-// with InC*InH*InW elements (any shape). The buffer is zeroed first, so it
-// may hold stale contents. dst must not alias cols.
-func Col2ImTo(dstT, cols *Tensor, g ConvGeom) *Tensor {
-	oh, ow := g.OutH(), g.OutW()
-	rows := g.InC * g.KH * g.KW
-	if cols.Rank() != 2 || cols.Shape[0] != rows || cols.Shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im input shape %v, want [%d %d]", cols.Shape, rows, oh*ow))
+// Gather is im2col for a whole minibatch: imgs is (B × InC·InH·InW), one
+// flattened CHW image per row, and dst is the (InC·KH·KW) × (B·OutH·OutW)
+// workspace with sample b in the column block [b·spatial, (b+1)·spatial).
+// Stacking samples horizontally keeps the contraction dimension shared, so
+// one MatMulTo(W, dst) convolves the whole batch. Every cell is written
+// (padding as 0), so a reused workspace needs no prior Zero. dst must not
+// alias imgs.
+func (t *ConvTable) Gather(dst, imgs *Tensor) *Tensor {
+	batch, feat, rows, spatial := t.shapes("Gather", imgs, dst)
+	nc := batch * spatial
+	for r := 0; r < rows; r++ {
+		offs := t.off[r*spatial : (r+1)*spatial]
+		drow := dst.Data[r*nc : (r+1)*nc]
+		for b := 0; b < batch; b++ {
+			src := imgs.Data[b*feat : (b+1)*feat]
+			// Sliced to len(offs) so the compiler drops the store's
+			// bounds check.
+			dseg := drow[b*spatial : (b+1)*spatial][:len(offs)]
+			for s, o := range offs {
+				v := 0.0
+				if o >= 0 {
+					v = src[o]
+				}
+				dseg[s] = v
+			}
+		}
 	}
-	if dstT.Len() != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Col2ImTo destination has %d elements, geometry wants %d", dstT.Len(), g.InC*g.InH*g.InW))
-	}
-	out := dstT
-	out.Zero()
-	dst := out.Data
-	nc := oh * ow
-	for c := 0; c < g.InC; c++ {
-		chanOff := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				row := (c*g.KH+kh)*g.KW + kw
-				src := cols.Data[row*nc : (row+1)*nc]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*g.Stride + kh - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue
-					}
-					rowOff := chanOff + iy*g.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*g.Stride + kw - g.Pad
-						if ix < 0 || ix >= g.InW {
-							continue
-						}
-						dst[rowOff+ix] += src[oy*ow+ox]
-					}
+	return dst
+}
+
+// Scatter is the adjoint of Gather (col2im): it sums the workspace
+// gradient cols back into per-sample image gradients. dst is
+// (B × InC·InH·InW) and is zeroed first. Each sample's taps are added in
+// (c, kh, kw, oy, ox) order, so every element of dst receives its addends
+// in one fixed order and the result is bit-reproducible. dst must not
+// alias cols.
+func (t *ConvTable) Scatter(dst, cols *Tensor) *Tensor {
+	batch, feat, rows, spatial := t.shapes("Scatter", dst, cols)
+	nc := batch * spatial
+	dst.Zero()
+	for b := 0; b < batch; b++ {
+		out := dst.Data[b*feat : (b+1)*feat]
+		for r := 0; r < rows; r++ {
+			offs := t.off[r*spatial : (r+1)*spatial]
+			src := cols.Data[r*nc+b*spatial : r*nc+(b+1)*spatial][:len(offs)]
+			for s, o := range offs {
+				if o >= 0 {
+					out[o] += src[s]
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }

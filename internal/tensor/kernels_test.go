@@ -230,37 +230,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestIm2ColToZeroAllocAndCorrect(t *testing.T) {
-	rng := NewRNG(5)
-	g := ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	img := rng.Randn(1, 2, 6, 6)
-	want := Im2Col(img, g)
-	ws := Zeros(want.Shape...)
-	ws.Fill(123) // stale contents must not leak through padding gaps
-	Im2ColTo(ws, img, g)
-	for i := range want.Data {
-		if ws.Data[i] != want.Data[i] {
-			t.Fatalf("Im2ColTo mismatch at %d", i)
-		}
-	}
-	grad := rng.Randn(1, want.Shape[0], want.Shape[1])
-	wantIm := Col2Im(grad, g)
-	dimg := Zeros(2, 6, 6)
-	dimg.Fill(-9)
-	Col2ImTo(dimg, grad, g)
-	for i := range wantIm.Data {
-		if dimg.Data[i] != wantIm.Data[i] {
-			t.Fatalf("Col2ImTo mismatch at %d", i)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() { Im2ColTo(ws, img, g) }); allocs != 0 {
-		t.Errorf("Im2ColTo allocates %v objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { Col2ImTo(dimg, grad, g) }); allocs != 0 {
-		t.Errorf("Col2ImTo allocates %v objects/op, want 0", allocs)
-	}
-}
-
 // --- scratch arena ---
 
 func TestScratchArenaRecycles(t *testing.T) {

@@ -22,7 +22,7 @@
 #              — the ≥3× ratio CI gates — and BenchmarkLazyShard-
 #              PrefetchOverlap cold-vs-warmed, the lease-phase latency
 #              the cohort prefetcher hides), the
-#              million-client Figure-7 cell with its peak_rss_mb record
+#              million-client Figure-7 cell with its heap_sys_mb record
 #              (BenchmarkFig7_MillionClients), the kernel micro-benches,
 #              and the fault-tolerance pair (BenchmarkFaultedRound benign-vs-faulted — the
 #              injection overhead of the pure-hash fault plan, with
