@@ -240,8 +240,9 @@ func ReducerByName(name string) (Reducer, error) { return core.ReducerByName(nam
 
 // ReduceUploads validates a cohort (ragged uploads, weight mismatches,
 // non-finite vectors) and applies the rule; nil means the weighted mean.
+// The non-finite screen runs on every core.
 func ReduceUploads(r Reducer, uploads []ParamVector, weights []float64) (ParamVector, error) {
-	return fl.ReduceUploads(r, uploads, weights)
+	return fl.ReduceUploads(r, uploads, weights, fl.Workers{})
 }
 
 // AdversaryOptions injects Byzantine clients into a run; see

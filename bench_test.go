@@ -541,7 +541,7 @@ func BenchmarkReducers(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := fl.ReduceUploads(r, ups, nil); err != nil {
+				if _, err := fl.ReduceUploads(r, ups, nil, fl.Workers{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -574,7 +574,7 @@ func BenchmarkTreeReduce(b *testing.B) {
 				r.SetWorkers(fl.Limit(workers))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := fl.ReduceUploads(&r, ups, ws); err != nil {
+					if _, err := fl.ReduceUploads(&r, ups, ws, fl.Workers{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -72,7 +72,7 @@ func reduce(cfg fl.Config, cur nn.ParamVector, uploads []nn.ParamVector, weights
 	if cfg.MinUploads > 0 && len(uploads) < cfg.MinUploads {
 		return cur, nil
 	}
-	agg, err := fl.ReduceUploads(cfg.Reducer, uploads, weights)
+	agg, err := fl.ReduceUploads(cfg.Reducer, uploads, weights, cfg.Allowance())
 	if errors.Is(err, fl.ErrNoFiniteUploads) {
 		return cur, nil
 	}
@@ -94,10 +94,10 @@ func (a *FedAvg) RoundComm(k int) fl.CommProfile {
 // broadcast — a straggler whose upload misses the round deadline is
 // excluded like a dropout. The extra LocalSpec hooks come from hooks
 // (a FedProx hook with Prox > 0 gets the received broadcast as its
-// proximal anchor); the loop fills in the shared fields. Training fans
-// out over the worker pool; RNG splits and all transport calls happen
-// serially in selection order, so results do not depend on the worker
-// count.
+// proximal anchor); the loop fills in the shared fields. Training and
+// the uploads' codec round-trips fan out over the worker pool; RNG splits
+// and every transport decision happen serially in selection order, so
+// results do not depend on the worker count.
 //
 // It returns the server-visible uploads, their sample-count weights, the
 // uploading clients (aligned with uploads), and the client-visible
@@ -113,17 +113,21 @@ func trainSelected(env *fl.Env, cfg fl.Config, rng *tensor.RNG, tr *fl.Transport
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
+	ups := make([]fl.Upload, len(results))
+	for j, res := range results {
+		ups[j] = fl.Upload{Client: jobs[j].Client, Vec: res.Params, Ref: recv, Dst: res.Params}
+	}
+	tr.UpAll(ups, cfg.Allowance())
 	uploads = make([]nn.ParamVector, 0, len(results))
 	weights = make([]float64, 0, len(results))
 	clients = make([]int, 0, len(results))
-	for j, res := range results {
-		dec, ok := tr.Up(res.Params, jobs[j].Client, res.Params, recv)
-		if !ok {
+	for j, u := range ups {
+		if !u.OK {
 			continue // straggler: the server never saw this upload
 		}
-		uploads = append(uploads, dec)
-		weights = append(weights, float64(res.Samples))
-		clients = append(clients, jobs[j].Client)
+		uploads = append(uploads, u.Out)
+		weights = append(weights, float64(results[j].Samples))
+		clients = append(clients, u.Client)
 	}
 	return uploads, weights, clients, recv, nil
 }

@@ -161,15 +161,19 @@ func (a *FedGen) Round(r int, selected []int) error {
 	if err != nil {
 		return fmt.Errorf("baselines: fedgen round %d: %w", r, err)
 	}
+	ups := make([]fl.Upload, len(results))
+	for j, res := range results {
+		ups[j] = fl.Upload{Client: jobs[j].Client, Vec: res.Params, Ref: recvGlobal, Dst: res.Params}
+	}
+	tr.UpAll(ups, a.cfg.Allowance())
 	uploads := make([]nn.ParamVector, 0, len(results))
 	weights := make([]float64, 0, len(results))
-	for j, res := range results {
-		dec, ok := tr.Up(res.Params, jobs[j].Client, res.Params, recvGlobal)
-		if !ok {
+	for j, u := range ups {
+		if !u.OK {
 			continue // straggler
 		}
-		uploads = append(uploads, dec)
-		weights = append(weights, float64(res.Samples))
+		uploads = append(uploads, u.Out)
+		weights = append(weights, float64(results[j].Samples))
 	}
 	if len(uploads) == 0 {
 		return nil

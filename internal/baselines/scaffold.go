@@ -98,7 +98,12 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 	// within a round, so deferring the map writes changes no arithmetic.
 	pendingClients := make([]int, 0, len(results))
 	pendingVariates := make([]nn.ParamVector, 0, len(results))
-	participants := 0
+	// Every trained client uploads its model, then its variate: two
+	// interleaved batch entries per client, so a model upload that misses
+	// the deadline skips the same client's variate, as the server stops
+	// waiting for that client.
+	trained := make([]int, 0, len(results))
+	ups := make([]fl.Upload, 0, 2*len(results))
 	for j, res := range results {
 		ci := jobs[j].Client
 		if res.Steps == 0 {
@@ -110,15 +115,19 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 		ciNew := a.ci[ci].Sub(recvC)
 		drift := recvGlobal.Sub(res.Params)
 		ciNew.AXPY(inv, drift)
-
-		model, ok := tr.Up(res.Params, ci, res.Params, recvGlobal)
-		if !ok {
-			continue // straggler: model upload missed the deadline
+		trained = append(trained, ci)
+		ups = append(ups,
+			fl.Upload{Client: ci, Vec: res.Params, Ref: recvGlobal, Dst: res.Params},
+			fl.Upload{Client: ci, Vec: ciNew, Ref: a.ci[ci], Dst: ciNew})
+	}
+	tr.UpAll(ups, a.cfg.Allowance())
+	participants := 0
+	for j, ci := range trained {
+		up, vp := ups[2*j], ups[2*j+1]
+		if !up.OK || !vp.OK {
+			continue // straggler: the model or variate upload missed the deadline
 		}
-		variate, ok := tr.Up(ciNew, ci, ciNew, a.ci[ci])
-		if !ok {
-			continue // straggler: variate upload missed the deadline
-		}
+		model, variate := up.Out, vp.Out
 
 		if modelDeltaSum == nil {
 			modelDeltaSum = make(nn.ParamVector, n)
@@ -130,7 +139,7 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 			models = append(models, model)
 		}
 		pendingClients = append(pendingClients, ci)
-		// Clone: tr.Up may return a transport- or adversary-owned scratch
+		// Clone: tr.UpAll may return a transport- or adversary-owned scratch
 		// buffer that is only valid until the next BeginRound, but cᵢ
 		// lives for the whole run. Retaining the alias would let a later
 		// round's wire traffic rewrite stored variates in place.
@@ -152,7 +161,7 @@ func (a *SCAFFOLD) Round(r int, selected []int) error {
 	// — so the reducer path (x ← Reduce(models)) engages only when a rule
 	// is configured, and nil keeps histories bit-identical.
 	if a.cfg.Reducer != nil {
-		agg, err := fl.ReduceUploads(a.cfg.Reducer, models, nil)
+		agg, err := fl.ReduceUploads(a.cfg.Reducer, models, nil, a.cfg.Allowance())
 		if err != nil && !errors.Is(err, fl.ErrNoFiniteUploads) {
 			return fmt.Errorf("baselines: scaffold round %d: %w", r, err)
 		}

@@ -279,14 +279,18 @@ func (f *FedCross) Round(r int, selected []int) error {
 	}
 	uploads := make([]nn.ParamVector, k)
 	copy(uploads, f.middleware) // untrained slots upload their model as-is
-	arrived := 0
+	// Each upload returns delta-encoded against this round's dispatch (the
+	// one vector both endpoints hold bit-identically), decoded in place
+	// into the slot's recycled upload buffer.
+	ups := make([]fl.Upload, len(results))
 	for j, res := range results {
-		// The upload returns delta-encoded against this round's dispatch
-		// (the one vector both endpoints hold bit-identically), decoded in
-		// place into the slot's recycled upload buffer.
-		dec, ok := tr.Up(res.Params, clients[j], res.Params, f.recvView[slots[j]])
-		if ok {
-			uploads[slots[j]] = dec
+		ups[j] = fl.Upload{Client: clients[j], Vec: res.Params, Ref: f.recvView[slots[j]], Dst: res.Params}
+	}
+	tr.UpAll(ups, f.cfg.Allowance())
+	arrived := 0
+	for j, u := range ups {
+		if u.OK {
+			uploads[slots[j]] = u.Out
 			arrived++
 		}
 	}
@@ -436,7 +440,7 @@ func (f *FedCross) Global() nn.ParamVector {
 	if f.cfg.Reducer == nil {
 		return GlobalModelGen(f.middleware)
 	}
-	agg, err := fl.ReduceUploads(f.cfg.Reducer, f.middleware, nil)
+	agg, err := fl.ReduceUploads(f.cfg.Reducer, f.middleware, nil, f.cfg.Allowance())
 	if err != nil {
 		// Middleware vectors are engine-owned; only a fully non-finite set
 		// can fail here, and then the plain mean is no worse.

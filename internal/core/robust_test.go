@@ -41,7 +41,7 @@ func TestKrumSelectsHonestModel(t *testing.T) {
 		ups[i] = v
 	}
 	r := &KrumReducer{F: f}
-	out, err := fl.ReduceUploads(r, ups, nil)
+	out, err := fl.ReduceUploads(r, ups, nil, fl.Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestMultiKrumAveragesSelection(t *testing.T) {
 	for j := range centroid {
 		centroid[j] = 1
 	}
-	robust, err := fl.ReduceUploads(&KrumReducer{F: f, Multi: true}, ups, nil)
+	robust, err := fl.ReduceUploads(&KrumReducer{F: f, Multi: true}, ups, nil, fl.Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := fl.ReduceUploads(nil, ups, nil)
+	mean, err := fl.ReduceUploads(nil, ups, nil, fl.Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestKrumWorkerCountInvariance(t *testing.T) {
 	for _, multi := range []bool{false, true} {
 		serial := &KrumReducer{Multi: multi, W: fl.Limit(1)}
 		wide := &KrumReducer{Multi: multi, W: fl.Limit(8)}
-		a, err := fl.ReduceUploads(serial, ups, ws)
+		a, err := fl.ReduceUploads(serial, ups, ws, fl.Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := fl.ReduceUploads(wide, ups, ws)
+		b, err := fl.ReduceUploads(wide, ups, ws, fl.Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +143,11 @@ func TestKrumSmallCohorts(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	for k := 1; k <= 2; k++ {
 		ups := krumUploads(rng, k, 8)
-		got, err := fl.ReduceUploads(&KrumReducer{}, ups, nil)
+		got, err := fl.ReduceUploads(&KrumReducer{}, ups, nil, fl.Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fl.ReduceUploads(nil, ups, nil)
+		want, err := fl.ReduceUploads(nil, ups, nil, fl.Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func FuzzKrum(f *testing.F) {
 			&KrumReducer{F: int(fRaw) % 8},
 			&KrumReducer{Multi: true, F: int(fRaw) % 8, M: int(mRaw) % 8},
 		} {
-			out, err := fl.ReduceUploads(r, ups, nil)
+			out, err := fl.ReduceUploads(r, ups, nil, fl.Workers{})
 			if err != nil {
 				continue
 			}

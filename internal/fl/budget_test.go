@@ -3,6 +3,8 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,25 +107,56 @@ func TestWorkerBudgetArbitration(t *testing.T) {
 // error among the iterations that ran wins, and iterations that were not
 // yet claimed when the failure hit are skipped rather than spun through a
 // claim-and-skip pass.
+//
+// The check must not depend on how long the failing worker takes to
+// record its failure after fn returns: during that window other workers
+// may legally claim more iterations. So every iteration past the failing
+// one blocks until the failing worker's goroutine has exited, which it
+// does only after recording the failure. At most one iteration per other
+// worker is then in flight, and the bound below is exact under every
+// schedule.
 func TestParallelForErrFastForward(t *testing.T) {
-	const n = 100000
-	var ran atomic.Int64
-	boom := errors.New("boom")
-	err := parallelForErr(n, Limit(4), func(i int) error {
+	const (
+		n       = 100000
+		workers = 4
+		failAt  = 3
+	)
+	var (
+		ran       atomic.Int64
+		boom      = errors.New("boom")
+		failingID string                // the failing worker's goroutine
+		failed    = make(chan struct{}) // closed when iteration failAt runs
+		recorded  = make(chan struct{}) // closed once its worker has exited
+		release   sync.Once
+	)
+	releaseAll := func() { release.Do(func() { close(recorded) }) }
+	err := parallelForErr(n, Limit(workers), func(i int) error {
 		ran.Add(1)
-		if i == 3 {
+		switch {
+		case i == failAt:
+			failingID = goroutineID()
+			go awaitGoroutineExit(failingID, releaseAll)
+			close(failed)
 			return fmt.Errorf("iteration %d: %w", i, boom)
+		case i > failAt:
+			<-failed
+			if goroutineID() == failingID {
+				// The failing worker came back for more work, so it will
+				// never exit: unblock everyone and let the bound report it.
+				releaseAll()
+				return nil
+			}
+			<-recorded
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	// 4 workers, failure at the 4th claimed iteration: almost everything
-	// must have been skipped. The bound is loose (in-flight iterations
-	// finish, and claims race the fast-forward) but far below n.
-	if got := ran.Load(); got > n/10 {
-		t.Fatalf("ran %d of %d iterations after an early failure", got, n)
+	// Iterations 0..failAt, plus at most one blocked iteration per other
+	// worker; a loop that kept claiming after the failure would run all n.
+	if got := ran.Load(); got > failAt+workers {
+		t.Fatalf("ran %d of %d iterations after an early failure, want at most %d", got, n, failAt+workers)
 	}
 
 	// Lowest index wins even when a later iteration fails first. A barrier
@@ -187,5 +220,32 @@ func TestTrainAllBudgeted(t *testing.T) {
 				t.Fatalf("job %d: budgeted params differ from serial at %d", i, j)
 			}
 		}
+	}
+}
+
+// goroutineID returns the calling goroutine's header in a stack dump,
+// "goroutine <id> [".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return "goroutine " + id + " ["
+}
+
+// awaitGoroutineExit calls done once no goroutine with header id is left
+// in a full stack dump.
+func awaitGoroutineExit(id string, done func()) {
+	buf := make([]byte, 1<<16)
+	for {
+		k := runtime.Stack(buf, true)
+		if k == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		if !strings.Contains(string(buf[:k]), id) {
+			done()
+			return
+		}
+		runtime.Gosched()
 	}
 }

@@ -51,20 +51,24 @@ func (s *wireAlgo) Round(r int, selected []int) error {
 	if err != nil {
 		return err
 	}
+	ups := make([]Upload, len(results))
+	for j, res := range results {
+		ups[j] = Upload{Client: jobs[j].Client, Vec: res.Params, Ref: recv, Dst: res.Params}
+	}
+	tr.UpAll(ups, s.cfg.Allowance())
 	var uploads []nn.ParamVector
 	var weights []float64
-	for j, res := range results {
-		dec, ok := tr.Up(res.Params, jobs[j].Client, res.Params, recv)
-		if !ok {
+	for j, u := range ups {
+		if !u.OK {
 			continue
 		}
-		uploads = append(uploads, dec)
-		weights = append(weights, float64(res.Samples))
+		uploads = append(uploads, u.Out)
+		weights = append(weights, float64(results[j].Samples))
 	}
 	if len(uploads) == 0 {
 		return nil
 	}
-	agg, err := ReduceUploads(s.cfg.Reducer, uploads, weights)
+	agg, err := ReduceUploads(s.cfg.Reducer, uploads, weights, s.cfg.Allowance())
 	if errors.Is(err, ErrNoFiniteUploads) {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"fedcross/internal/nn"
 )
@@ -52,8 +53,10 @@ var ErrNoFiniteUploads = errors.New("fl: reduce: no finite uploads")
 //     rule runs (a single poisoned vector must not NaN the whole model);
 //     if every upload is dropped, ErrNoFiniteUploads is returned.
 //
-// weights may be nil for an unweighted reduction.
-func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64) (nn.ParamVector, error) {
+// weights may be nil for an unweighted reduction. The non-finite screen
+// fans out over w, the round's worker allowance; which uploads it drops
+// does not depend on w.
+func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64, w Workers) (nn.ParamVector, error) {
 	if len(uploads) == 0 {
 		return nil, fmt.Errorf("fl: reduce: no uploads")
 	}
@@ -66,12 +69,12 @@ func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64) (nn.P
 			return nil, fmt.Errorf("fl: reduce: upload %d has length %d, want %d", i, len(u), n)
 		}
 	}
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("fl: reduce: weight %d = %v, must be finite and non-negative", i, w)
+	for i, x := range weights {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("fl: reduce: weight %d = %v, must be finite and non-negative", i, x)
 		}
 	}
-	uploads, weights = dropNonFinite(uploads, weights)
+	uploads, weights = dropNonFinite(uploads, weights, w)
 	if len(uploads) == 0 {
 		return nil, ErrNoFiniteUploads
 	}
@@ -85,18 +88,15 @@ func ReduceUploads(r Reducer, uploads []nn.ParamVector, weights []float64) (nn.P
 	return out, nil
 }
 
-// dropNonFinite filters out uploads containing NaN or ±Inf coordinates.
-// When nothing is dropped the original slices are returned untouched, so
-// the clean path adds only a read-only scan (and the mean fallback stays
-// bit-identical to the pre-reducer engine).
-func dropNonFinite(uploads []nn.ParamVector, weights []float64) ([]nn.ParamVector, []float64) {
-	drop := -1
-	for i, u := range uploads {
-		if !finiteVector(u) {
-			drop = i
-			break
-		}
-	}
+// dropNonFinite filters out uploads containing NaN or ±Inf coordinates,
+// screening the uploads in parallel over w. When nothing is dropped the
+// original slices are returned untouched, so the clean path adds only a
+// read-only scan (and the mean fallback stays bit-identical to the
+// pre-reducer engine).
+func dropNonFinite(uploads []nn.ParamVector, weights []float64, w Workers) ([]nn.ParamVector, []float64) {
+	finite := make([]bool, len(uploads))
+	ParallelForW(len(uploads), w, func(i int) { finite[i] = finiteVector(uploads[i]) })
+	drop := slices.Index(finite, false)
 	if drop == -1 {
 		return uploads, weights
 	}
@@ -106,7 +106,7 @@ func dropNonFinite(uploads []nn.ParamVector, weights []float64) ([]nn.ParamVecto
 		outW = append([]float64(nil), weights[:drop]...)
 	}
 	for i := drop + 1; i < len(uploads); i++ {
-		if !finiteVector(uploads[i]) {
+		if !finite[i] {
 			continue
 		}
 		outU = append(outU, uploads[i])

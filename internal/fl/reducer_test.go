@@ -46,7 +46,7 @@ func reducerLabel(r Reducer) string {
 func TestReduceUploadsNilMatchesWeightedMean(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	ups, ws := randUploads(rng, 7, 129)
-	got, err := ReduceUploads(nil, ups, ws)
+	got, err := ReduceUploads(nil, ups, ws, Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReduceUploadsNilMatchesWeightedMean(t *testing.T) {
 		t.Fatal("nil reducer must be bit-identical to nn.WeightedMeanVectors")
 	}
 	// And the explicit MeanReducer must match the nil path bit-for-bit.
-	got2, err := ReduceUploads(MeanReducer{}, ups, ws)
+	got2, err := ReduceUploads(MeanReducer{}, ups, ws, Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestReducersPermutationInvariant(t *testing.T) {
 		permWs[i] = ws[p]
 	}
 	for _, r := range allReducers() {
-		a, err := ReduceUploads(r, ups, ws)
+		a, err := ReduceUploads(r, ups, ws, Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ReduceUploads(r, permUps, permWs)
+		b, err := ReduceUploads(r, permUps, permWs, Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +115,11 @@ func TestReducersWorkerCountInvariant(t *testing.T) {
 		func(w Workers) Reducer { return &TrimmedMeanReducer{W: w} },
 		func(w Workers) Reducer { return &MedianReducer{W: w} },
 	} {
-		serial, err := ReduceUploads(mk(Limit(1)), ups, ws)
+		serial, err := ReduceUploads(mk(Limit(1)), ups, ws, Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := ReduceUploads(mk(Limit(8)), ups, ws)
+		wide, err := ReduceUploads(mk(Limit(8)), ups, ws, Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestReducerBreakdown(t *testing.T) {
 		ups[i] = v
 	}
 	dist := func(r Reducer) float64 {
-		out, err := ReduceUploads(r, ups, nil)
+		out, err := ReduceUploads(r, ups, nil, Workers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,14 +177,14 @@ func TestReducerBreakdown(t *testing.T) {
 func TestReduceUploadsDropsNonFinite(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	ups, ws := randUploads(rng, 5, 30)
-	clean, err := ReduceUploads(nil, ups[1:], ws[1:])
+	clean, err := ReduceUploads(nil, ups[1:], ws[1:], Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Poison upload 0 with NaN: the screen must drop exactly it, leaving
 	// the aggregate of the remaining four.
 	ups[0][7] = math.NaN()
-	got, err := ReduceUploads(nil, ups, ws)
+	got, err := ReduceUploads(nil, ups, ws, Workers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestReduceUploadsDropsNonFinite(t *testing.T) {
 		t.Fatal("NaN upload must be dropped, leaving the clean aggregate")
 	}
 	for _, r := range allReducers() {
-		out, err := ReduceUploads(r, ups, ws)
+		out, err := ReduceUploads(r, ups, ws, Workers{})
 		if err != nil {
 			t.Fatalf("%s: %v", reducerLabel(r), err)
 		}
@@ -202,14 +202,14 @@ func TestReduceUploadsDropsNonFinite(t *testing.T) {
 	}
 	// ±Inf is screened the same way.
 	ups[2][0] = math.Inf(1)
-	if out, err := ReduceUploads(&MedianReducer{}, ups, ws); err != nil || !finiteVector(out) {
+	if out, err := ReduceUploads(&MedianReducer{}, ups, ws, Workers{}); err != nil || !finiteVector(out) {
 		t.Fatalf("Inf upload must be dropped: out=%v err=%v", out, err)
 	}
 	// All-poisoned rounds surface ErrNoFiniteUploads, never a NaN model.
 	for i := range ups {
 		ups[i][0] = math.Inf(-1)
 	}
-	if _, err := ReduceUploads(nil, ups, ws); !errors.Is(err, ErrNoFiniteUploads) {
+	if _, err := ReduceUploads(nil, ups, ws, Workers{}); !errors.Is(err, ErrNoFiniteUploads) {
 		t.Fatalf("want ErrNoFiniteUploads, got %v", err)
 	}
 }
@@ -217,24 +217,24 @@ func TestReduceUploadsDropsNonFinite(t *testing.T) {
 func TestReduceUploadsRejectsMalformed(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	ups, ws := randUploads(rng, 4, 16)
-	if _, err := ReduceUploads(nil, nil, nil); err == nil {
+	if _, err := ReduceUploads(nil, nil, nil, Workers{}); err == nil {
 		t.Fatal("empty upload list must error")
 	}
 	ragged := append([]nn.ParamVector(nil), ups...)
 	ragged[2] = ragged[2][:10]
-	if _, err := ReduceUploads(nil, ragged, ws); err == nil {
+	if _, err := ReduceUploads(nil, ragged, ws, Workers{}); err == nil {
 		t.Fatal("ragged upload lengths must error")
 	}
-	if _, err := ReduceUploads(nil, ups, ws[:2]); err == nil {
+	if _, err := ReduceUploads(nil, ups, ws[:2], Workers{}); err == nil {
 		t.Fatal("weight-count mismatch must error")
 	}
 	bad := append([]float64(nil), ws...)
 	bad[1] = -3
-	if _, err := ReduceUploads(nil, ups, bad); err == nil {
+	if _, err := ReduceUploads(nil, ups, bad, Workers{}); err == nil {
 		t.Fatal("negative weight must error")
 	}
 	bad[1] = math.NaN()
-	if _, err := ReduceUploads(nil, ups, bad); err == nil {
+	if _, err := ReduceUploads(nil, ups, bad, Workers{}); err == nil {
 		t.Fatal("NaN weight must error")
 	}
 }
@@ -299,7 +299,7 @@ func FuzzReducer(f *testing.F) {
 			ws[i] = float64(1 + i)
 		}
 		for _, r := range allReducers() {
-			out, err := ReduceUploads(r, ups, ws)
+			out, err := ReduceUploads(r, ups, ws, Workers{})
 			if err != nil {
 				continue // malformed or fully poisoned input: error is the contract
 			}

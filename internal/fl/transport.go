@@ -112,9 +112,14 @@ type link struct {
 //
 // Concurrency contract: all Transport methods must be called from the
 // serial phases of a round (job preparation and reduce) — exactly where
-// algorithms draw their RNG splits today. Link conditions are drawn in
-// slot order from a pre-split per-round stream, so results are
-// bit-identical at every Parallelism setting.
+// algorithms draw their RNG splits today — and never concurrently with
+// each other. Every decision that touches shared state (link clocks,
+// counters, fault hashes, the adversary) is made serially in slot order:
+// link conditions come from a pre-split per-round stream, and UpAll
+// plans its whole batch before any worker starts. The only work UpAll
+// fans out is each upload's codec round-trip, a pure function of its
+// own entry run on per-worker scratch, so results are bit-identical at
+// every Parallelism setting.
 //
 // A nil *Transport is valid and behaves as a zero-cost pass-through, so
 // algorithms run unchanged outside fl.Run (unit tests driving Init/Round
@@ -155,11 +160,20 @@ type Transport struct {
 	cumDuplicates      int
 	cumStalls          int
 
-	// encBuf is the recycled encode scratch; resBuf the recycled delta
-	// residual. Both are safe to reuse per call because transport calls
-	// are serial by contract.
-	encBuf []byte
-	resBuf nn.ParamVector
+	// scratch holds one encode/residual scratch per deliver worker;
+	// Down and Broadcast use scratch[0] from the serial phases. plans
+	// (each entry's decoded attempts) and work (entries with any) are
+	// UpAll's recycled per-batch records.
+	scratch []*wireScratch
+	plans   [][]mangle
+	work    []int
+}
+
+// wireScratch is one worker's recycled codec scratch: the encoded bytes
+// and the delta residual.
+type wireScratch struct {
+	enc []byte
+	res nn.ParamVector
 }
 
 // NewTransport builds a transport from options. The zero options value
@@ -186,6 +200,7 @@ func NewTransport(opts TransportOptions) (*Transport, error) {
 		retries:      opts.Retries,
 		retryBackoff: opts.RetryBackoffSec,
 		links:        map[int]*link{},
+		scratch:      []*wireScratch{{}},
 	}, nil
 }
 
@@ -206,7 +221,7 @@ func (t *Transport) Network() NetworkModel {
 }
 
 // PassThrough reports whether payloads cross the wire unmodified (the
-// codec is lossless), in which case Down/Up/Broadcast return the input
+// codec is lossless), in which case Down/UpAll/Broadcast return the input
 // vector itself and never touch a destination buffer.
 func (t *Transport) PassThrough() bool { return t == nil || t.codec.Lossless() }
 
@@ -343,7 +358,7 @@ func (t *Transport) Down(dst nn.ParamVector, client int, vec nn.ParamVector) nn.
 	size := t.codec.EncodedSize(len(vec))
 	t.roundDown += size
 	t.chargeTime(client, size, true)
-	out, err := t.deliver(dst, vec, nil, mangleNone)
+	out, err := t.deliver(t.scratch[0], dst, vec, nil, mangleNone)
 	if err != nil {
 		// Encode and Decode are the same codec over the same undamaged
 		// buffer; a failure here is a codec bug, not an input condition.
@@ -368,7 +383,7 @@ func (t *Transport) Broadcast(dst nn.ParamVector, clients []int, vec nn.ParamVec
 		t.roundDown += size
 		t.chargeTime(ci, size, true)
 	}
-	out, err := t.deliver(dst, vec, nil, mangleNone)
+	out, err := t.deliver(t.scratch[0], dst, vec, nil, mangleNone)
 	if err != nil {
 		// Undamaged round-trip failure is a codec bug (see Down).
 		panic(err)
@@ -376,73 +391,171 @@ func (t *Transport) Broadcast(dst nn.ParamVector, clients []int, vec nn.ParamVec
 	return out
 }
 
-// Up simulates one client→server upload of vec, delta-encoded against
-// ref when ref is non-nil (both endpoints must hold ref bit-identically —
-// see the invalidation rule in docs/ARCHITECTURE.md). It returns the
-// server-visible vector (decoded into dst, or vec itself on the lossless
-// pass-through) and ok=false when the client's round clock has passed the
-// deadline: the upload was transmitted (its bytes are charged) but the
-// server stopped waiting, so the caller must treat the client like a
-// dropout. Subsequent uploads from a straggler are skipped entirely.
-func (t *Transport) Up(dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
+// Upload is one client→server payload in a batch handed to UpAll. The
+// caller fills Client, Vec, Ref and Dst; UpAll fills Out and OK.
+type Upload struct {
+	// Client is the uploading client's id.
+	Client int
+	// Vec is the trained vector. It is read, never written, unless it
+	// is also this entry's Dst.
+	Vec nn.ParamVector
+	// Ref, when non-nil, is the delta reference: Vec−Ref crosses the wire
+	// and the receiver adds Ref back. Both endpoints must hold it
+	// bit-identically (see the invalidation rule in docs/ARCHITECTURE.md).
+	Ref nn.ParamVector
+	// Dst is the decode destination on a lossy codec (nil allocates).
+	// Dst may be this entry's Vec, but must not alias another entry's
+	// Dst, Vec or Ref: entries decode concurrently.
+	Dst nn.ParamVector
+	// Out is the server-visible vector: Dst decoded on a lossy codec, the
+	// transmitted vector itself on the lossless pass-through. Meaningful
+	// only when OK.
+	Out nn.ParamVector
+	// OK is false when the server never accepted the upload: the client's
+	// round clock passed the deadline (its bytes are still charged), every
+	// attempt was lost to faults, or an earlier upload from the same
+	// client in this round already failed. The caller treats such a
+	// client like a dropout.
+	OK bool
+}
+
+// UpAll simulates a batch of client→server uploads, in two phases.
+//
+// The plan phase runs serially in batch order and makes every decision
+// a sequence of single uploads would: skipped stragglers and failed
+// clients, adversary corruption (so collusion copies the batch's first
+// attacker), link clocks and deadlines, per-attempt fault hashes,
+// retries with backoff, and duplicate charges. It records which encoded
+// attempts reach the decoder and how each is damaged in transit.
+//
+// The deliver phase runs the recorded codec round-trips (residual,
+// Encode, damage, Decode, add-back) across the allowance w, each worker
+// on its own scratch. A round-trip is a pure function of its entry, so
+// results are bit-identical at every worker count. A damaged attempt
+// must be rejected and an undamaged one accepted; anything else is a
+// codec bug and panics. On the lossless pass-through there is nothing to
+// deliver, and UpAll returns after the plan phase.
+//
+// UpAll fills each entry's Out and OK; a nil transport accepts every
+// entry unchanged.
+func (t *Transport) UpAll(ups []Upload, w Workers) {
 	if t == nil {
-		return vec, true
+		for i := range ups {
+			ups[i].Out, ups[i].OK = ups[i].Vec, true
+		}
+		return
 	}
-	if l := t.links[client]; l != nil && (l.straggler || l.failed) {
-		return vec, false
+	t.work = t.work[:0]
+	for i := range ups {
+		if t.planUp(&ups[i], i) {
+			t.work = append(t.work, i)
+		}
+	}
+	if len(t.work) == 0 {
+		return
+	}
+	workers := effectiveWorkers(len(t.work), w.Max)
+	for len(t.scratch) < workers {
+		t.scratch = append(t.scratch, &wireScratch{})
+	}
+	parallelForWorker(len(t.work), w, func(wk, j int) {
+		i := t.work[j]
+		t.deliverPlan(t.scratch[wk], &ups[i], t.plans[i])
+	})
+}
+
+// planUp makes every serial decision for upload i of a batch. It leaves
+// the transmitted (post-adversary) vector in u.Out and records in
+// t.plans[i] the damage of every attempt that reaches the decoder, in
+// order; an accepted upload's last attempt is mangleNone. It reports
+// whether the upload has codec round-trips left for the deliver phase.
+func (t *Transport) planUp(u *Upload, i int) bool {
+	u.Out, u.OK = u.Vec, false
+	if l := t.links[u.Client]; l != nil && (l.straggler || l.failed) {
+		return false
 	}
 	// A compromised client transmits its corrupted payload; the server
 	// only ever sees the wire-visible vector, so every algorithm (and
 	// every codec) is attacked uniformly at this one seam.
-	vec = t.adv.CorruptUpload(client, vec)
+	vec := t.adv.CorruptUpload(u.Client, u.Vec)
+	u.Out = vec
+	if i >= len(t.plans) {
+		t.plans = append(t.plans, make([][]mangle, i+1-len(t.plans))...)
+	}
+	plan := &t.plans[i]
+	*plan = (*plan)[:0]
+	lossless := t.codec.Lossless()
 	size := t.codec.EncodedSize(len(vec))
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			t.backoff(client, attempt)
+			t.backoff(u.Client, attempt)
 			t.roundRetries++
 		}
 		t.roundUp += size
-		if !t.chargeTime(client, size, false) {
-			t.markStraggler(client)
-			return vec, false
+		if !t.chargeTime(u.Client, size, false) {
+			t.markStraggler(u.Client)
+			break
 		}
 		// Wire losses: an outright drop, or a payload the decode rejects
 		// (truncated body, flipped header). Each is a pure per-attempt
 		// hash, so a retry redraws its fate.
-		lost := t.faults.Drops(t.round, client, attempt)
-		mangle := mangleNone
+		lost := t.faults.Drops(t.round, u.Client, attempt)
+		m := mangleNone
 		if !lost {
 			switch {
-			case t.faults.Truncates(t.round, client, attempt):
-				mangle = mangleTruncate
-			case t.faults.Corrupts(t.round, client, attempt):
-				mangle = mangleCorrupt
+			case t.faults.Truncates(t.round, u.Client, attempt):
+				m = mangleTruncate
+			case t.faults.Corrupts(t.round, u.Client, attempt):
+				m = mangleCorrupt
 			}
 			// The lossless pass-through never materializes wire bytes to
 			// mangle; a truncated/corrupted payload is simply lost.
-			if mangle != mangleNone && t.codec.Lossless() {
+			if m != mangleNone && lossless {
 				lost = true
 			}
 		}
 		if !lost {
-			out, err := t.deliver(dst, vec, ref, mangle)
-			if err == nil {
-				if t.faults.Duplicates(t.round, client) {
+			if !lossless {
+				*plan = append(*plan, m)
+			}
+			if m == mangleNone {
+				if t.faults.Duplicates(t.round, u.Client) {
 					// The duplicate's bytes and wire time are charged; the
 					// server dedups the payload itself.
 					t.roundUp += size
-					t.chargeTime(client, size, false)
+					t.chargeTime(u.Client, size, false)
 					t.roundDuplicates++
 				}
-				if l := t.links[client]; l != nil {
+				if l := t.links[u.Client]; l != nil {
 					l.okUps++
 				}
-				return out, true
+				u.OK = true
+				break
 			}
 		}
 		if attempt >= t.retries {
-			t.markFailed(client)
-			return vec, false
+			t.markFailed(u.Client)
+			break
+		}
+	}
+	return len(*plan) > 0
+}
+
+// deliverPlan replays one upload's planned round-trips of the
+// transmitted vector u.Out on a worker's scratch, checking that each
+// damaged attempt is rejected and the undamaged one accepted.
+func (t *Transport) deliverPlan(s *wireScratch, u *Upload, plan []mangle) {
+	vec, dst := u.Out, u.Dst
+	if dst == nil {
+		dst = make(nn.ParamVector, len(vec))
+	}
+	for _, m := range plan {
+		out, err := t.deliver(s, dst, vec, u.Ref, m)
+		if (err == nil) != (m == mangleNone) {
+			panic(fmt.Sprintf("fl: transport codec %s: attempt with damage %d decoded with error %v", t.codec.Name(), m, err))
+		}
+		if err == nil {
+			u.Out = out
 		}
 	}
 }
@@ -532,11 +645,12 @@ const (
 // quantization grids span the (much smaller) residual range.
 //
 // A non-zero mangle damages the encoded bytes in transit; the decode then
-// rejects the payload with an error, which the caller treats as a lost
-// attempt. Decode failures never panic: a hostile or damaged payload
-// surfaces as a per-client loss, exactly like a dropped one. On any error
-// dst holds unspecified bytes and must not be used.
-func (t *Transport) deliver(dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVector, error) {
+// rejects the payload with an error, which UpAll's plan has already
+// counted as a lost attempt (deliverPlan checks that it was). The codec
+// itself never panics on damaged bytes. On any error dst holds
+// unspecified bytes and must not be used. s is the calling worker's
+// scratch.
+func (t *Transport) deliver(s *wireScratch, dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVector, error) {
 	if t.codec.Lossless() {
 		// The identity wire is a zero-copy pass-through: delta would only
 		// add float cancellation error to a codec that is already exact.
@@ -548,25 +662,26 @@ func (t *Transport) deliver(dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVec
 		if len(ref) != len(vec) {
 			panic(fmt.Sprintf("fl: transport delta ref length %d != payload %d", len(ref), len(vec)))
 		}
-		if cap(t.resBuf) < len(vec) {
-			t.resBuf = make(nn.ParamVector, len(vec))
+		if cap(s.res) < len(vec) {
+			s.res = make(nn.ParamVector, len(vec))
 		}
-		t.resBuf = t.resBuf[:len(vec)]
+		s.res = s.res[:len(vec)]
 		for i := range vec {
-			t.resBuf[i] = vec[i] - ref[i]
+			s.res[i] = vec[i] - ref[i]
 		}
-		payload = t.resBuf
+		payload = s.res
 	}
-	t.encBuf = t.codec.Encode(t.encBuf[:0], payload)
+	s.enc = t.codec.Encode(s.enc[:0], payload)
+	enc := s.enc
 	switch m {
 	case mangleTruncate:
-		t.encBuf = t.encBuf[:len(t.encBuf)/2]
+		enc = enc[:len(enc)/2]
 	case mangleCorrupt:
 		// Flipping the 4-byte element-count header is a bijection, so the
 		// decoded count never matches the destination: rejection is
 		// guaranteed, unlike flipping body bytes a quantizer might accept.
-		for i := 0; i < len(t.encBuf) && i < 4; i++ {
-			t.encBuf[i] ^= 0xFF
+		for i := 0; i < len(enc) && i < 4; i++ {
+			enc[i] ^= 0xFF
 		}
 	}
 	if dst == nil {
@@ -575,7 +690,7 @@ func (t *Transport) deliver(dst, vec, ref nn.ParamVector, m mangle) (nn.ParamVec
 	if len(dst) != len(vec) {
 		panic(fmt.Sprintf("fl: transport destination length %d != payload %d", len(dst), len(vec)))
 	}
-	if _, err := t.codec.Decode(dst, t.encBuf); err != nil {
+	if _, err := t.codec.Decode(dst, enc); err != nil {
 		return dst, fmt.Errorf("fl: transport codec round-trip: %w", err)
 	}
 	if ref != nil {

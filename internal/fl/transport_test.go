@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -8,6 +9,13 @@ import (
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
 )
+
+// upOne sends a single upload through UpAll.
+func upOne(tr *Transport, dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
+	ups := []Upload{{Client: client, Vec: vec, Ref: ref, Dst: dst}}
+	tr.UpAll(ups, Limit(1))
+	return ups[0].Out, ups[0].OK
+}
 
 func testVec(rng *tensor.RNG, n int) nn.ParamVector {
 	v := make(nn.ParamVector, n)
@@ -25,8 +33,8 @@ func TestTransportNilPassThrough(t *testing.T) {
 	if got := tr.Down(nil, 0, vec); &got[0] != &vec[0] {
 		t.Fatal("nil transport Down must return the input vector")
 	}
-	if got, ok := tr.Up(nil, 0, vec, nil); !ok || &got[0] != &vec[0] {
-		t.Fatal("nil transport Up must pass through on time")
+	if got, ok := upOne(tr, nil, 0, vec, nil); !ok || &got[0] != &vec[0] {
+		t.Fatal("nil transport UpAll must pass through on time")
 	}
 	if got := tr.Broadcast(nil, []int{0, 1}, vec); &got[0] != &vec[0] {
 		t.Fatal("nil transport Broadcast must return the input vector")
@@ -58,8 +66,8 @@ func TestTransportIdentityZeroCopy(t *testing.T) {
 	if got := tr.Broadcast(nil, []int{3, 7, -1}, vec); &got[0] != &vec[0] {
 		t.Fatal("identity Broadcast must be zero-copy")
 	}
-	if got, ok := tr.Up(nil, 7, vec, vec); !ok || &got[0] != &vec[0] {
-		t.Fatal("identity Up must be zero-copy and on time")
+	if got, ok := upOne(tr, nil, 7, vec, vec); !ok || &got[0] != &vec[0] {
+		t.Fatal("identity UpAll must be zero-copy and on time")
 	}
 
 	perPayload := (nn.IdentityCodec{}).EncodedSize(100)
@@ -101,7 +109,7 @@ func TestTransportLossyDelta(t *testing.T) {
 	}
 	tr.BeginRound(0, []int{0}, nil)
 	dst := make(nn.ParamVector, len(vec))
-	got, ok := tr.Up(dst, 0, vec, ref)
+	got, ok := upOne(tr, dst, 0, vec, ref)
 	if !ok {
 		t.Fatal("upload missed a deadline that does not exist")
 	}
@@ -118,7 +126,7 @@ func TestTransportLossyDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2.BeginRound(0, []int{0}, nil)
-	got2, _ := tr2.Up(make(nn.ParamVector, len(vec)), 0, vec, ref)
+	got2, _ := upOne(tr2, make(nn.ParamVector, len(vec)), 0, vec, ref)
 	unchanged := 0
 	for i := range got2 {
 		if got2[i] == ref[i] {
@@ -148,11 +156,11 @@ func TestTransportDeadlineStragglers(t *testing.T) {
 		tr.BeginRound(0, clients, tensor.NewRNG(seed))
 		tr.Broadcast(nil, clients, vec)
 		for _, ci := range clients {
-			if _, ok := tr.Up(nil, ci, vec, nil); !ok {
+			if _, ok := upOne(tr, nil, ci, vec, nil); !ok {
 				missed = append(missed, ci)
 				// A second upload from a straggler must also fail, without
 				// double-counting.
-				if _, ok := tr.Up(nil, ci, vec, nil); ok {
+				if _, ok := upOne(tr, nil, ci, vec, nil); ok {
 					t.Fatalf("client %d: upload after straggling succeeded", ci)
 				}
 			}
@@ -201,7 +209,7 @@ func TestTransportIdealNetworkNeverStraggles(t *testing.T) {
 	vec := testVec(rng, 10_000)
 	tr.BeginRound(0, []int{0}, rng.Split())
 	for i := 0; i < 100; i++ {
-		if _, ok := tr.Up(nil, 0, vec, nil); !ok {
+		if _, ok := upOne(tr, nil, 0, vec, nil); !ok {
 			t.Fatal("ideal network produced a straggler")
 		}
 	}
@@ -231,4 +239,235 @@ func TestNetworkByName(t *testing.T) {
 	if err := (TransportOptions{DeadlineSec: -1}).Validate(); err == nil {
 		t.Fatal("negative deadline accepted")
 	}
+}
+
+// serialUp is the reference upload: the one-at-a-time body UpAll
+// replaced, which decides and delivers each attempt in turn on the
+// transport's serial scratch. TestUpAllMatchesSerialOracle checks that
+// planning a batch serially and delivering it in parallel changes
+// nothing it returns or counts.
+func serialUp(t *Transport, dst nn.ParamVector, client int, vec, ref nn.ParamVector) (nn.ParamVector, bool) {
+	if t == nil {
+		return vec, true
+	}
+	if l := t.links[client]; l != nil && (l.straggler || l.failed) {
+		return vec, false
+	}
+	vec = t.adv.CorruptUpload(client, vec)
+	size := t.codec.EncodedSize(len(vec))
+	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			t.backoff(client, attempt)
+			t.roundRetries++
+		}
+		t.roundUp += size
+		if !t.chargeTime(client, size, false) {
+			t.markStraggler(client)
+			return vec, false
+		}
+		lost := t.faults.Drops(t.round, client, attempt)
+		m := mangleNone
+		if !lost {
+			switch {
+			case t.faults.Truncates(t.round, client, attempt):
+				m = mangleTruncate
+			case t.faults.Corrupts(t.round, client, attempt):
+				m = mangleCorrupt
+			}
+			if m != mangleNone && t.codec.Lossless() {
+				lost = true
+			}
+		}
+		if !lost {
+			out, err := t.deliver(t.scratch[0], dst, vec, ref, m)
+			if err == nil {
+				if t.faults.Duplicates(t.round, client) {
+					t.roundUp += size
+					t.chargeTime(client, size, false)
+					t.roundDuplicates++
+				}
+				if l := t.links[client]; l != nil {
+					l.okUps++
+				}
+				return out, true
+			}
+		}
+		if attempt >= t.retries {
+			t.markFailed(client)
+			return vec, false
+		}
+	}
+}
+
+// oracleCase is one wire configuration of TestUpAllMatchesSerialOracle.
+type oracleCase struct {
+	codec, network string
+	deadline       float64
+	faults         FaultOptions
+	attack         string
+}
+
+// oracleUploads builds round r's batch over the selected clients: every
+// third client uploads a SCAFFOLD-style pair (model against the
+// broadcast, then a variate against its own stored reference), the rest
+// one model. Entries decode in place, into a nil Dst, or without a delta
+// reference, so every Upload shape is covered. Each call returns fresh
+// vectors with the same values, so the two sides of the comparison never
+// share a buffer.
+func oracleUploads(r int, selected []int, recv nn.ParamVector, n int) (ups []Upload, pairs []int) {
+	rng := tensor.NewRNG(int64(1000 + r))
+	for k, ci := range selected {
+		vec := recv.Clone()
+		for i := range vec {
+			vec[i] += 0.05 * rng.Normal(0, 1)
+		}
+		u := Upload{Client: ci, Vec: vec, Ref: recv, Dst: vec}
+		switch k % 5 {
+		case 3:
+			u.Dst = nil
+		case 4:
+			u.Ref = nil
+		}
+		ups = append(ups, u)
+		if k%3 == 0 {
+			pairs = append(pairs, len(ups)-1)
+			variate := testVec(rng, n)
+			stored := testVec(rng, n)
+			ups = append(ups, Upload{Client: ci, Vec: variate, Ref: stored, Dst: variate})
+		}
+	}
+	return ups, pairs
+}
+
+// TestUpAllMatchesSerialOracle pins UpAll to the serial reference across
+// codecs, fault mixes, adversaries, networks and worker counts: decoded
+// vectors are bit-equal, and ok flags, traffic, fault telemetry, the
+// per-round quorum count and every client's link clock are equal. SCAFFOLD-style pairs follow the
+// algorithm's old loop on the oracle side (a failed model upload skips
+// the variate call), including pairs whose first entry straggles.
+func TestUpAllMatchesSerialOracle(t *testing.T) {
+	const (
+		nClients = 20
+		dim      = 1500
+		rounds   = 3
+	)
+	mix := FaultOptions{DropRate: 0.2, TruncateRate: 0.15, CorruptRate: 0.15,
+		DuplicateRate: 0.3, StraggleRate: 0.3}
+	var cases []oracleCase
+	for _, codec := range []string{"identity", "fp16", "int8", "topk:0.1"} {
+		for _, faults := range []FaultOptions{{}, mix} {
+			for _, attack := range []string{AttackNone, AttackSignFlip, AttackScale, AttackCollude} {
+				cases = append(cases,
+					oracleCase{codec: codec, network: "none", faults: faults, attack: attack},
+					oracleCase{codec: codec, network: "lte", deadline: 0.3, faults: faults, attack: attack})
+			}
+		}
+	}
+	var stragglers, retries, faultDrops, duplicates, pairFirstStraggles int
+	for _, c := range cases {
+		// build makes one side's transport; both sides get identical
+		// fault plans and attacker sets from the same seeds.
+		build := func() *Transport {
+			tr, err := NewTransport(TransportOptions{Codec: c.codec, Network: c.network,
+				DeadlineSec: c.deadline, Retries: 2, RetryBackoffSec: 0.02})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.SetFaultPlan(NewFaultPlan(c.faults, 77))
+			tr.SetAdversary(NewAdversary(AdversaryOptions{Attack: c.attack, Frac: 0.3}, nClients, tensor.NewRNG(5)))
+			return tr
+		}
+		for _, workers := range []int{1, 2, 8} {
+			oracle, batched := build(), build()
+			global := testVec(tensor.NewRNG(3), dim)
+			sel := tensor.NewRNG(11)
+			for r := 0; r < rounds; r++ {
+				selected := sel.Perm(nClients)[:12]
+				netSeed := int64(100 + r)
+				oracle.BeginRound(r, selected, tensor.NewRNG(netSeed))
+				batched.BeginRound(r, selected, tensor.NewRNG(netSeed))
+				recvO := oracle.Broadcast(nil, selected, global)
+				recvB := batched.Broadcast(nil, selected, global)
+
+				want, pairs := oracleUploads(r, selected, recvO, dim)
+				isVariate := map[int]bool{}
+				for _, p := range pairs {
+					isVariate[p+1] = true
+				}
+				for i := range want {
+					u := &want[i]
+					if isVariate[i] && !want[i-1].OK {
+						u.Out, u.OK = u.Vec, false // the algorithm skipped the call
+						continue
+					}
+					u.Out, u.OK = serialUp(oracle, u.Dst, u.Client, u.Vec, u.Ref)
+				}
+				got, _ := oracleUploads(r, selected, recvB, dim)
+				batched.UpAll(got, Limit(workers))
+
+				name := fmt.Sprintf("%+v workers=%d round=%d", c, workers, r)
+				for i := range want {
+					if got[i].OK != want[i].OK {
+						t.Fatalf("%s: entry %d ok=%v, oracle %v", name, i, got[i].OK, want[i].OK)
+					}
+					if !want[i].OK {
+						continue
+					}
+					if !bitEqual(got[i].Out, want[i].Out) {
+						t.Fatalf("%s: entry %d decoded vector differs from the oracle", name, i)
+					}
+				}
+				for _, p := range pairs {
+					if !want[p].OK && oracle.links[want[p].Client].straggler {
+						pairFirstStraggles++
+					}
+				}
+				if a, b := batched.RoundUploaders(), oracle.RoundUploaders(); a != b {
+					t.Fatalf("%s: RoundUploaders %d, oracle %d", name, a, b)
+				}
+				for ci, l := range oracle.links {
+					if got := batched.links[ci]; got == nil || *got != *l {
+						t.Fatalf("%s: client %d link %+v, oracle %+v", name, ci, got, *l)
+					}
+				}
+				batched.EndRound()
+				oracle.EndRound()
+				d1, u1, s1 := batched.Totals()
+				d0, u0, s0 := oracle.Totals()
+				if d1 != d0 || u1 != u0 || s1 != s0 {
+					t.Fatalf("%s: Totals %d/%d/%d, oracle %d/%d/%d", name, d1, u1, s1, d0, u0, s0)
+				}
+				r1, f1, dup1, st1 := batched.FaultTotals()
+				r0, f0, dup0, st0 := oracle.FaultTotals()
+				if r1 != r0 || f1 != f0 || dup1 != dup0 || st1 != st0 {
+					t.Fatalf("%s: FaultTotals %d/%d/%d/%d, oracle %d/%d/%d/%d", name, r1, f1, dup1, st1, r0, f0, dup0, st0)
+				}
+			}
+			_, _, s := oracle.Totals()
+			r, f, d, _ := oracle.FaultTotals()
+			stragglers += s
+			retries += r
+			faultDrops += f
+			duplicates += d
+		}
+	}
+	// The grid is only a check if every path it claims to cover fired.
+	if stragglers == 0 || retries == 0 || faultDrops == 0 || duplicates == 0 || pairFirstStraggles == 0 {
+		t.Fatalf("degenerate grid: stragglers %d, retries %d, fault drops %d, duplicates %d, pairs whose model straggled %d",
+			stragglers, retries, faultDrops, duplicates, pairFirstStraggles)
+	}
+}
+
+// bitEqual reports whether two vectors hold the same float64 bit
+// patterns (NaN payloads included).
+func bitEqual(a, b nn.ParamVector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

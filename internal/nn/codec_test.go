@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
@@ -438,4 +439,99 @@ func TestCodecParallelismInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wireDamage applies the transport's two in-transit damages to an
+// encoded payload: truncation to half its length, and a flip of every
+// bit of the 4-byte element-count header.
+var wireDamage = []struct {
+	name  string
+	apply func(buf []byte) []byte
+}{
+	{"truncate", func(buf []byte) []byte { return buf[:len(buf)/2] }},
+	{"flip-header", func(buf []byte) []byte {
+		for i := 0; i < len(buf) && i < codecHeaderBytes; i++ {
+			buf[i] ^= 0xFF
+		}
+		return buf
+	}},
+}
+
+// TestCodecRejectsDamage pins the invariant the transport's batched
+// upload asserts for every planned attempt: an undamaged payload decodes,
+// and a truncated or header-flipped one is rejected, for every codec at
+// lengths from empty to past the chunk-parallel threshold.
+func TestCodecRejectsDamage(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	for _, name := range []string{"identity", "fp16", "int8", "topk:0.1"} {
+		c, err := CodecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 7, 6506, 16387} {
+			vec := randVec(rng, n, 1.0)
+			buf := c.Encode(nil, vec)
+			if _, err := c.Decode(make(ParamVector, n), buf); err != nil {
+				t.Fatalf("%s n=%d: undamaged payload rejected: %v", name, n, err)
+			}
+			for _, d := range wireDamage {
+				damaged := d.apply(bytes.Clone(buf))
+				if _, err := c.Decode(make(ParamVector, n), damaged); err == nil {
+					t.Fatalf("%s n=%d: %s payload accepted", name, n, d.name)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCodecDecode feeds arbitrary bytes to every codec's Decode, into a
+// destination of the fuzzed length and into one of the length the
+// payload's header claims (when small). Decode must return an error or
+// fill the whole destination from the payload alone — two destinations
+// pre-filled with different bit patterns must decode identically — and
+// must never panic. The seed corpus lives in testdata/fuzz.
+func FuzzCodecDecode(f *testing.F) {
+	rng := tensor.NewRNG(17)
+	for _, n := range []int{0, 1, 7} {
+		vec := randVec(rng, n, 1.0)
+		for _, name := range []string{"identity", "fp16", "int8", "topk:0.1"} {
+			c, err := CodecByName(name)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint16(n), c.Encode(nil, vec))
+		}
+	}
+	codecs := []Codec{IdentityCodec{}, FP16Codec{}, Int8Codec{}, TopKCodec{Frac: 0.1}, TopKCodec{Frac: 1}}
+	f.Fuzz(func(t *testing.T, nRaw uint16, data []byte) {
+		lengths := []int{int(nRaw) % 4097}
+		if len(data) >= codecHeaderBytes {
+			if h := int(binary.LittleEndian.Uint32(data)); h <= 1<<16 {
+				lengths = append(lengths, h)
+			}
+		}
+		for _, c := range codecs {
+			for _, n := range lengths {
+				a, b := make(ParamVector, n), make(ParamVector, n)
+				for i := range a {
+					a[i], b[i] = math.Inf(1), math.Float64frombits(0x7ff8_0000_dead_beef)
+				}
+				consumed, err := c.Decode(a, data)
+				if err != nil {
+					continue
+				}
+				if want := int(c.EncodedSize(n)); consumed != want || consumed > len(data) {
+					t.Fatalf("%s n=%d: consumed %d bytes of %d, want %d", c.Name(), n, consumed, len(data), want)
+				}
+				if _, err := c.Decode(b, data); err != nil {
+					t.Fatalf("%s n=%d: second decode failed: %v", c.Name(), n, err)
+				}
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s n=%d: element %d depends on the destination's old contents", c.Name(), n, i)
+					}
+				}
+			}
+		}
+	})
 }

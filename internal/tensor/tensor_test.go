@@ -3,6 +3,8 @@ package tensor
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -316,6 +318,49 @@ func TestRNGDeterminism(t *testing.T) {
 			t.Fatal("same seed must give same stream")
 		}
 	}
+
+	// A generator seeds its source on the first draw; its stream must be
+	// the eagerly seeded math/rand stream, draw for draw, across every
+	// method that bottoms out in Int63.
+	g, eager := NewRNG(7), rand.New(rand.NewSource(7))
+	if st := g.State(); st != (RNGState{Seed: 7}) {
+		t.Fatalf("undrawn State() = %+v, want {7 0}", st)
+	}
+	for i := 0; i < 50; i++ {
+		if got, want := g.Int63(), eager.Int63(); got != want {
+			t.Fatalf("draw %d: Int63 %d, eager %d", i, got, want)
+		}
+		if got, want := g.Float64(), eager.Float64(); got != want {
+			t.Fatalf("draw %d: Float64 %v, eager %v", i, got, want)
+		}
+		if got, want := g.Intn(1000), eager.Intn(1000); got != want {
+			t.Fatalf("draw %d: Intn %d, eager %d", i, got, want)
+		}
+		if got, want := g.Normal(0, 1), eager.NormFloat64(); got != want {
+			t.Fatalf("draw %d: Normal %v, eager %v", i, got, want)
+		}
+	}
+	if got, want := g.Perm(20), eager.Perm(20); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Perm %v, eager %v", got, want)
+	}
+
+	// RestoreRNG round-trips drawn and undrawn generators alike.
+	for _, draws := range []int{0, 1, 37} {
+		h := NewRNG(11)
+		for i := 0; i < draws; i++ {
+			h.Normal(0, 1)
+		}
+		st := h.State()
+		r := RestoreRNG(st)
+		if r.State() != st {
+			t.Fatalf("%d draws: restored State() %+v, want %+v", draws, r.State(), st)
+		}
+		for i := 0; i < 10; i++ {
+			if got, want := r.Int63(), h.Int63(); got != want {
+				t.Fatalf("%d draws: restored draw %d = %d, want %d", draws, i, got, want)
+			}
+		}
+	}
 }
 
 func TestRNGSplitIndependence(t *testing.T) {
@@ -509,5 +554,30 @@ func TestSplitNMatchesConsecutiveSplits(t *testing.T) {
 	}
 	if a.Int63() != b.Int63() {
 		t.Fatal("SplitN consumed a different number of parent draws than n Splits")
+	}
+
+	// Children are seeded lazily: until its first draw a child reports
+	// position 0 at the seed its parent drew, restores to itself, and
+	// then streams exactly what an eagerly seeded math/rand source would.
+	parent, eagerParent := NewRNG(9), rand.New(rand.NewSource(9))
+	for i, child := range parent.SplitN(4) {
+		seed := eagerParent.Int63()
+		if st := child.State(); st != (RNGState{Seed: seed}) {
+			t.Fatalf("child %d: undrawn State() = %+v, want {%d 0}", i, st, seed)
+		}
+		restored := RestoreRNG(child.State())
+		eager := rand.New(rand.NewSource(seed))
+		for d := 0; d < 3; d++ {
+			want := eager.Int63()
+			if got := child.Int63(); got != want {
+				t.Fatalf("child %d draw %d: lazy stream %d, eager %d", i, d, got, want)
+			}
+			if got := restored.Int63(); got != want {
+				t.Fatalf("child %d draw %d: restored stream %d, eager %d", i, d, got, want)
+			}
+		}
+		if st := child.State(); st != (RNGState{Seed: seed, Pos: 3}) {
+			t.Fatalf("child %d: State() after 3 draws = %+v", i, st)
+		}
 	}
 }

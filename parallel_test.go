@@ -56,40 +56,64 @@ func TestParallelismInvariance(t *testing.T) {
 }
 
 // TestTransportParallelismInvariance extends the determinism contract to
-// the simulated wire: with a lossy codec, a jittered network and a round
-// deadline, every algorithm must still produce a byte-identical History
-// at Parallelism=1 and 8 — straggler selection, codec error and byte
-// accounting all live in the serial phases of a round.
+// the simulated wire: with a lossy codec, every algorithm must still
+// produce a byte-identical History at Parallelism=1 and 8. Two wires are
+// checked: a jittered network with a round deadline, and a faulty link
+// (drops, truncation, corruption, duplicates, straggles, with retries)
+// carrying colluding attackers' uploads. Straggler selection, fault and
+// retry decisions, corruption and byte accounting are planned serially
+// in slot order; only each upload's codec round-trip runs on the worker
+// pool, and it is a pure function of its own payload.
 func TestTransportParallelismInvariance(t *testing.T) {
+	wires := []struct {
+		name  string
+		apply func(cfg *Config)
+	}{
+		{"int8/lte/deadline", func(cfg *Config) {
+			cfg.Transport = TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 2}
+		}},
+		{"int8/faults/collude", func(cfg *Config) {
+			cfg.Transport = TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 0.25,
+				Retries: 1, RetryBackoffSec: 0.05}
+			cfg.Faults.DropRate = 0.3
+			cfg.Faults.TruncateRate = 0.2
+			cfg.Faults.CorruptRate = 0.2
+			cfg.Faults.DuplicateRate = 0.2
+			cfg.Faults.StraggleRate = 0.3
+			cfg.Adversary = AdversaryOptions{Attack: AttackCollude, Frac: 0.25}
+		}},
+	}
 	for _, name := range AlgorithmNames() {
 		t.Run(name, func(t *testing.T) {
-			histories := make([]*History, 2)
-			for i, workers := range []int{1, 8} {
-				prof := invarianceProfile()
-				prof.Parallelism = workers
-				env, err := prof.BuildEnv("vision10", "mlp", Heterogeneity{Beta: 0.5}, 1)
-				if err != nil {
-					t.Fatal(err)
+			for _, wire := range wires {
+				histories := make([]*History, 2)
+				for i, workers := range []int{1, 8} {
+					prof := invarianceProfile()
+					prof.Parallelism = workers
+					env, err := prof.BuildEnv("vision10", "mlp", Heterogeneity{Beta: 0.5}, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					algo, err := NewAlgorithm(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := prof.Config(1)
+					cfg.DropoutRate = 0.2
+					wire.apply(&cfg)
+					hist, err := Run(algo, env, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					histories[i] = hist
 				}
-				algo, err := NewAlgorithm(name)
-				if err != nil {
-					t.Fatal(err)
+				if !reflect.DeepEqual(histories[0], histories[1]) {
+					t.Fatalf("%s over %s: lossy-wire history differs between Parallelism=1 and 8:\nserial:   %+v\nparallel: %+v",
+						name, wire.name, histories[0], histories[1])
 				}
-				cfg := prof.Config(1)
-				cfg.DropoutRate = 0.2
-				cfg.Transport = TransportOptions{Codec: "int8", Network: "lte", DeadlineSec: 2}
-				hist, err := Run(algo, env, cfg)
-				if err != nil {
-					t.Fatal(err)
+				if histories[0].TotalBytes() == 0 {
+					t.Fatalf("%s over %s: lossy wire moved zero bytes", name, wire.name)
 				}
-				histories[i] = hist
-			}
-			if !reflect.DeepEqual(histories[0], histories[1]) {
-				t.Fatalf("%s: lossy-wire history differs between Parallelism=1 and 8:\nserial:   %+v\nparallel: %+v",
-					name, histories[0], histories[1])
-			}
-			if histories[0].TotalBytes() == 0 {
-				t.Fatalf("%s: lossy wire moved zero bytes", name)
 			}
 		})
 	}
