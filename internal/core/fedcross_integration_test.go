@@ -76,13 +76,13 @@ func TestFedCrossAccelerationModesRun(t *testing.T) {
 func TestFedCrossToleratesDropout(t *testing.T) {
 	env := integrationEnv(4, 8, data.Heterogeneity{Beta: 0.5})
 	cfg := runCfg(6)
-	cfg.DropoutRate = 0.4
+	cfg.Faults.CrashRate = 0.4
 	hist, err := fl.Run(MustNew(DefaultOptions()), env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hist.Final().TestAcc <= 0 {
-		t.Fatal("dropout run produced zero accuracy")
+		t.Fatal("crash-fault run produced zero accuracy")
 	}
 }
 

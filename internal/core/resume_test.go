@@ -73,7 +73,7 @@ func TestFedCrossQuorumDegradedRound(t *testing.T) {
 	}
 	for i := 1; i < len(hist.Metrics); i++ {
 		prev, cur := hist.Metrics[i-1], hist.Metrics[i]
-		if cur.CumDegraded > prev.CumDegraded && cur.TestAcc != prev.TestAcc {
+		if cur.Cum.Degraded > prev.Cum.Degraded && cur.TestAcc != prev.TestAcc {
 			t.Fatalf("round %d degraded but accuracy moved %v -> %v", cur.Round, prev.TestAcc, cur.TestAcc)
 		}
 	}

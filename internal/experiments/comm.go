@@ -127,7 +127,7 @@ func RunCommCurve(opts CommCurveOptions) (*CommCurveResult, error) {
 		for _, m := range hist.Metrics {
 			curve.Points = append(curve.Points, CommPoint{
 				Round: m.Round,
-				CumMB: float64(m.CumBytesDown+m.CumBytesUp) / (1 << 20),
+				CumMB: float64(m.Cum.BytesDown+m.Cum.BytesUp) / (1 << 20),
 				Acc:   m.TestAcc,
 			})
 		}

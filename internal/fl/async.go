@@ -91,7 +91,7 @@ type asyncJob struct {
 	fetch   nn.ParamVector // snapshot the client trains from (engine-owned)
 	trained nn.ParamVector // filled by the parallel training pass
 	done    bool
-	rng     *tensor.RNG
+	rng     tensor.RNGState // the job's training stream, never drawn in place
 }
 
 // RunAsync executes a buffered-asynchronous FedAvg-style simulation
@@ -122,26 +122,22 @@ type asyncJob struct {
 // options apply exactly as in Run — label-flip through the shadow
 // environment, model-poisoning at the fold.
 func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	// Churn and dropout act on a round's cohort, which the async engine
-	// does not have; refuse them rather than silently run the static,
-	// always-on fleet.
+	// Churn acts on a round's cohort, which the async engine does not
+	// have; refuse it rather than silently run the static, always-on
+	// fleet. Its stream stays split, keeping both engines' orders
+	// parallel.
 	if cfg.Churn.Active() {
 		return nil, fmt.Errorf("fl: RunAsync: Churn is not supported by the async engine (synchronous Run only)")
 	}
-	if cfg.DropoutRate > 0 {
-		return nil, fmt.Errorf("fl: RunAsync: DropoutRate = %v is not supported by the async engine (synchronous Run only)", cfg.DropoutRate)
+	s, err := newSession("fl: RunAsync", env, cfg)
+	if err != nil {
+		return nil, err
 	}
+	defer s.close()
 	opts = opts.resolve(cfg)
-	n := env.NumClients()
-	if n == 0 {
-		return nil, fmt.Errorf("fl: RunAsync: environment has no clients")
-	}
 	codec, err := nn.CodecByName(cfg.Transport.Codec)
 	if err != nil {
 		return nil, err
@@ -150,41 +146,13 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	rng := tensor.NewRNG(cfg.Seed)
-	initRNG := rng.Split()
-	selRNG := rng.Split()
-	timeRNG := rng.Split()
-	jobRNG := rng.Split()
-	advRNG := rng.Split()
-	// The fault stream is appended after every pre-existing split (the
-	// advRNG pattern): a zero-rate plan leaves benign histories
-	// bit-unchanged. Fault decisions key on (dispatch seq, client), so
-	// they are identical at every worker count and free to recompute on
-	// resume. Client churn is a round-calendar concept and applies to the
-	// synchronous engine only (RunAsync rejects it above); its stream is
-	// still reserved here so the two engines' split orders stay parallel.
-	faultRNG := rng.Split()
-	_ = rng.Split() // churn stream, reserved
-	faults := NewFaultPlan(cfg.Faults, faultRNG.Int63())
-
-	adv := NewAdversary(cfg.Adversary, n, advRNG)
+	// Fault decisions key on (dispatch seq, client), so they are
+	// identical at every worker count.
+	env, n, adv, faults := s.env, s.n, s.adv, s.faults
+	selRNG, timeRNG, jobRNG := s.selRNG, s.slot2, s.slot3
 	adv.BeginRound()
-	env = adv.ShadowEnv(env)
-	n = env.NumClients() // virtual sybils extend the shadow population
 
-	// The async engine's "plan" is the dispatch draw itself: a client's
-	// shard is not touched until the batched training pass of the next
-	// arrival pop, so warming it at dispatch overlaps synthesis with the
-	// folds, evaluations and arrivals in between. Prefetch draws no RNG,
-	// so histories are bit-identical with it on or off.
-	restripeSource(env, cfg)
-	prefetch := sourcePrefetcher(env, cfg)
-	if prefetch != nil {
-		defer prefetch.CancelPrefetch()
-	}
-
-	global := nn.FlattenParams(env.Model.New(initRNG.Split()).Params())
+	global := nn.FlattenParams(env.Model.New(s.initRNG.Split()).Params())
 	dim := len(global)
 	wireBytes := codec.EncodedSize(dim)
 
@@ -219,8 +187,9 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 	if opts.InFlight > len(available) {
 		opts.InFlight = len(available)
 	}
+	s.hist.Algorithm = "fedbuff"
+	s.tag, s.shape = tagAsync, []int64{int64(opts.Commits), int64(opts.Buffer), int64(opts.InFlight), int64(n), int64(dim)}
 
-	hist := &History{Algorithm: "fedbuff"}
 	acc := make(nn.ParamVector, dim)
 	var (
 		inflight   []*asyncJob
@@ -229,27 +198,28 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		version    int
 		arrivals   int
 		dispatches int
-
 		// folded counts the current window's accepted uploads — the
 		// quorum the commit is judged against.
-		folded                                      int
-		crashes, faultDrops, duplicates, stallCount int
-		degraded                                    int
-		commits                                     int
+		folded  int
+		commits int
 	)
-	ck := cfg.Checkpoint
 
+	// The async engine's "plan" is the dispatch draw itself: a client's
+	// shard is not touched until the batched training pass of the next
+	// arrival pop, so warming it at dispatch overlaps synthesis with the
+	// folds, evaluations and arrivals in between. Prefetch draws no RNG,
+	// so histories are bit-identical with it on or off.
 	var prefetchBuf [1]int
 	dispatch := func() {
 		idx := selRNG.Intn(len(available))
 		client := available[idx]
 		available = append(available[:idx], available[idx+1:]...)
-		if prefetch != nil {
+		if s.prefetch != nil {
 			// Warm the dispatched client's shard now; it is trained no
 			// earlier than the next arrival pop. Prefetch copies the id
 			// synchronously, so the buffer is immediately reusable.
 			prefetchBuf[0] = client
-			prefetch.Prefetch(prefetchBuf[:])
+			s.prefetch.Prefetch(prefetchBuf[:])
 		}
 		// Per-dispatch simulated times, drawn in a fixed order: link
 		// multipliers exactly like Transport.BeginRound, then compute.
@@ -278,7 +248,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		copy(fetch, global)
 		job := &asyncJob{
 			seq: seq, client: client, version: version,
-			arrival: now + elapsed, fetch: fetch, rng: jobRNG.Split(),
+			arrival: now + elapsed, fetch: fetch, rng: jobRNG.SplitState(),
 		}
 		if faults.Crashes(seq, client) {
 			// The client dies mid-round: it fetched (bytes down are
@@ -289,76 +259,34 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		inflight = append(inflight, job)
 		seq++
 		dispatches++
-		hist.BytesDown += wireBytes
+		s.cum.BytesDown += wireBytes
 	}
 
-	startFresh := true
-	if ck.Active() && ck.Resume {
-		snap, err := loadAsyncCheckpoint(ck.Path, cfg, opts, n, dim)
-		if err != nil {
-			return nil, fmt.Errorf("fl: RunAsync: %w", err)
-		}
-		now, seq, version = snap.now, snap.seq, snap.version
-		arrivals, dispatches = snap.arrivals, snap.dispatches
-		crashes, faultDrops, duplicates = snap.crashes, snap.faultDrops, snap.dups
-		stallCount, degraded = snap.stalls, snap.degraded
-		hist.BytesDown, hist.BytesUp = snap.bytesDown, snap.bytesUp
-		hist.Metrics = snap.metrics
-		selRNG = tensor.RestoreRNG(snap.selState)
-		timeRNG = tensor.RestoreRNG(snap.timeState)
-		jobRNG = tensor.RestoreRNG(snap.jobState)
-		available = snap.available
-		copy(global, snap.global)
-		inflight = make([]*asyncJob, len(snap.jobs))
-		for i, js := range snap.jobs {
-			inflight[i] = &asyncJob{
-				seq: js.seq, client: js.client, version: js.version,
-				arrival: js.arrival, fetch: js.fetch, trained: js.trained,
-				done: js.done, rng: tensor.RestoreRNG(js.rng),
+	if cfg.Checkpoint.Resume {
+		err := s.resume(func(d *dec) error {
+			st, err := readAsyncState(d, opts, n, dim)
+			if err != nil {
+				return err
 			}
+			commits, now, seq, version = st.nextCommit, st.now, st.seq, st.version
+			arrivals, dispatches = st.arrivals, st.dispatches
+			selRNG, timeRNG, jobRNG = tensor.RestoreRNG(st.sel), tensor.RestoreRNG(st.time), tensor.RestoreRNG(st.job)
+			available, inflight = st.available, st.jobs
+			copy(global, st.global)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		commits = snap.nextCommit
-		startFresh = false
 		// The snapshot was taken inside the commit block, before the
 		// dispatch that closes a loop iteration — run that dispatch now.
 		if commits < opts.Commits {
 			dispatch()
 		}
-	}
-	if startFresh {
+	} else {
 		for i := 0; i < opts.InFlight; i++ {
 			dispatch()
 		}
-	}
-
-	evalNow := func(commit int) error {
-		accT, loss, err := evaluate(env.Model, global, env.Fed.Test, 64, cfg.Allowance())
-		if err != nil {
-			return fmt.Errorf("fl: RunAsync: eval commit %d: %w", commit, err)
-		}
-		hist.Metrics = append(hist.Metrics, RoundMetric{
-			Round:               commit,
-			TestAcc:             accT,
-			TestLoss:            loss,
-			CumModelEquivalents: float64(dispatches + arrivals),
-			CumBytesDown:        hist.BytesDown,
-			CumBytesUp:          hist.BytesUp,
-			CumFaultDrops:       faultDrops,
-			CumDuplicates:       duplicates,
-			CumStalls:           stallCount,
-			CumCrashes:          crashes,
-			CumDegraded:         degraded,
-		})
-		return nil
-	}
-
-	finish := func() {
-		hist.Comm = CommProfile{ModelsDown: dispatches, ModelsUp: arrivals}
-		hist.Crashes = crashes
-		hist.FaultDrops = faultDrops
-		hist.Duplicates = duplicates
-		hist.Stalls = stallCount
-		hist.Degraded = degraded
 	}
 
 	for commits < opts.Commits {
@@ -378,7 +306,6 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 			// pre-split stream, so results are scheduling-independent and
 			// the engine still gets its fan-out.
 			if err := trainPending(env, cfg, inflight); err != nil {
-				releaseAll(inflight, release)
 				return nil, fmt.Errorf("fl: RunAsync: %w", err)
 			}
 		}
@@ -388,10 +315,10 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 		if job.trained == nil {
 			// Fault-injected crash: the slot completes (the server times
 			// the client out and moves on) but nothing crossed the uplink.
-			crashes++
+			s.cum.Crashes++
 			release(job.fetch)
 		} else {
-			hist.BytesUp += wireBytes
+			s.cum.BytesUp += wireBytes
 			switch {
 			case faults.Drops(job.seq, job.client, 0),
 				faults.Truncates(job.seq, job.client, 0),
@@ -399,7 +326,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				// The async wire carries values losslessly, so a
 				// truncated or corrupted payload is rejected whole at the
 				// server door — observably a drop, and counted as one.
-				faultDrops++
+				s.cum.FaultDrops++
 			default:
 				upload := adv.CorruptUpload(job.client, job.trained)
 				if finiteVector(upload) {
@@ -416,8 +343,8 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				if faults.Duplicates(job.seq, job.client) {
 					// The retransmit arrives twice; the server dedupes but
 					// the duplicate bytes were spent.
-					hist.BytesUp += wireBytes
-					duplicates++
+					s.cum.BytesUp += wireBytes
+					s.cum.Duplicates++
 				}
 			}
 			release(job.fetch, job.trained)
@@ -434,7 +361,7 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				for i := range acc {
 					acc[i] = 0
 				}
-				degraded++
+				s.cum.Degraded++
 			} else {
 				scale := opts.ServerLR / float64(opts.Buffer)
 				for i := range global {
@@ -449,55 +376,132 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 				// Server stall: the commit pauses before the next dispatch
 				// goes out, shifting only work scheduled after it.
 				now += faults.StallSec()
-				stallCount++
+				s.cum.Stalls++
 			}
 			adv.BeginRound()
-			last := commits == opts.Commits
-			if last || (cfg.EvalEvery > 0 && commits%cfg.EvalEvery == 0) {
-				if err := evalNow(commits); err != nil {
-					releaseAll(inflight, release)
-					return nil, err
-				}
+			stop, err := s.boundary(commits, opts.Commits, func() nn.ParamVector { return global }, float64(dispatches+arrivals), func(e *enc) error {
+				st := asyncState{nextCommit: commits, seq: seq, version: version, arrivals: arrivals, dispatches: dispatches,
+					now: now, sel: selRNG.State(), time: timeRNG.State(), job: jobRNG.State(),
+					available: available, global: global, jobs: inflight}
+				st.write(e)
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			if ck.Active() {
-				stopHere := ck.StopAfterRound > 0 && commits == ck.StopAfterRound
-				if stopHere || (ck.Every > 0 && commits%ck.Every == 0) {
-					snap := &asyncSnapshot{
-						nextCommit: commits, now: now, seq: seq, version: version,
-						arrivals: arrivals, dispatches: dispatches,
-						crashes: crashes, faultDrops: faultDrops, dups: duplicates,
-						stalls: stallCount, degraded: degraded,
-						bytesDown: hist.BytesDown, bytesUp: hist.BytesUp,
-						selState: selRNG.State(), timeState: timeRNG.State(), jobState: jobRNG.State(),
-						available: available, global: global, metrics: hist.Metrics,
-					}
-					snap.jobs = make([]asyncJobSnap, len(inflight))
-					for i, j := range inflight {
-						snap.jobs[i] = asyncJobSnap{
-							seq: j.seq, client: j.client, version: j.version,
-							arrival: j.arrival, done: j.done,
-							fetch: j.fetch, trained: j.trained, rng: j.rng.State(),
-						}
-					}
-					if err := saveAsyncCheckpoint(ck.Path, cfg, opts, n, dim, snap); err != nil {
-						releaseAll(inflight, release)
-						return nil, fmt.Errorf("fl: RunAsync: checkpoint commit %d: %w", commits, err)
-					}
-				}
-				if stopHere {
-					releaseAll(inflight, release)
-					finish()
-					return hist, ErrStopped
-				}
+			if stop {
+				return s.finish(CommProfile{ModelsDown: dispatches, ModelsUp: arrivals}), ErrStopped
 			}
-			if last {
+			if commits == opts.Commits {
 				break
 			}
 		}
 		dispatch()
 	}
-	finish()
-	return hist, nil
+	return s.finish(CommProfile{ModelsDown: dispatches, ModelsUp: arrivals}), nil
+}
+
+// asyncState is RunAsync's own snapshot section at a commit boundary.
+// The staleness accumulator is deliberately absent: commits fire exactly
+// when it is zeroed, so every snapshot point has an empty window by
+// construction.
+type asyncState struct {
+	nextCommit, seq, version, arrivals, dispatches int
+	now                                            float64
+	sel, time, job                                 tensor.RNGState
+	available                                      []int
+	global                                         nn.ParamVector
+	// jobs are the in-flight activations: trained is nil for jobs still
+	// awaiting the batched training pass and for fault-crashed clients
+	// (whose fold is skipped on arrival).
+	jobs []*asyncJob
+}
+
+func (st *asyncState) write(e *enc) {
+	e.i64(int64(st.nextCommit), int64(st.seq), int64(st.version), int64(st.arrivals), int64(st.dispatches))
+	e.f64(st.now)
+	e.rng(st.sel)
+	e.rng(st.time)
+	e.rng(st.job)
+	e.ints(st.available)
+	e.vec(st.global)
+	e.u64(uint64(len(st.jobs)))
+	for _, j := range st.jobs {
+		done := int64(0)
+		if j.done {
+			done = 1
+		}
+		e.i64(int64(j.seq), int64(j.client), int64(j.version))
+		e.f64(j.arrival)
+		e.i64(done)
+		e.vec(j.fetch)
+		e.vec(j.trained)
+		e.rng(j.rng)
+	}
+}
+
+// readAsyncState decodes RunAsync's section and checks it against the
+// resuming run: vectors of the run's dimension, InFlight−1 jobs (a
+// snapshot follows an arrival pop), a fresh training stream for every
+// job (training draws from a copy), and a strictly ascending available
+// pool of clients in [0, n), disjoint from the in-flight ones and
+// non-empty while commits remain (the post-resume dispatch draws from
+// it).
+func readAsyncState(d *dec, opts AsyncOptions, n, dim int) (*asyncState, error) {
+	st := &asyncState{nextCommit: d.int(), seq: d.int(), version: d.int(), arrivals: d.int(), dispatches: d.int(),
+		now: d.f64(), sel: d.rng(), time: d.rng(), job: d.rng()}
+	if d.err == nil && (st.nextCommit < 0 || st.nextCommit > opts.Commits) {
+		d.fail("next commit %d outside [0,%d]", st.nextCommit, opts.Commits)
+	}
+	st.available = d.ints("available client")
+	if st.global = d.vec("global"); d.err == nil && len(st.global) != dim {
+		d.fail("global has %d params, want %d", len(st.global), dim)
+	}
+	nJobs := d.count(maxCkptEntries, 8*8, "in-flight job")
+	if d.err == nil && nJobs != opts.InFlight-1 {
+		d.fail("%d in-flight jobs, want %d", nJobs, opts.InFlight-1)
+	}
+	st.jobs = make([]*asyncJob, nJobs)
+	for i := range st.jobs {
+		j := &asyncJob{seq: d.int(), client: d.int(), version: d.int(), arrival: d.f64(), done: d.i64() != 0}
+		j.fetch, j.trained, j.rng = d.vec("job fetch"), d.vec("job trained"), d.rng()
+		switch {
+		case d.err != nil:
+		case len(j.fetch) != dim || (j.trained != nil && len(j.trained) != dim):
+			d.fail("job %d vectors (%d, %d params), want %d", i, len(j.fetch), len(j.trained), dim)
+		case j.rng.Pos != 0:
+			d.fail("job %d stream at position %d, want a fresh one", i, j.rng.Pos)
+		}
+		st.jobs[i] = j
+	}
+	if d.err == nil {
+		// Every client is either available or in flight, never both.
+		seen := make([]bool, n)
+		claim := func(c int, what string) {
+			if d.err == nil && (c < 0 || c >= n || seen[c]) {
+				d.fail("%s client %d outside [0,%d) or listed twice", what, c, n)
+			}
+			if d.err == nil {
+				seen[c] = true
+			}
+		}
+		for i, c := range st.available {
+			if i > 0 && c <= st.available[i-1] {
+				d.fail("available pool not strictly ascending at %d", i)
+			}
+			claim(c, "available")
+		}
+		for _, j := range st.jobs {
+			claim(j.client, "in-flight")
+		}
+		if st.nextCommit < opts.Commits && len(st.available) == 0 {
+			d.fail("empty available pool with %d commits left", opts.Commits-st.nextCommit)
+		}
+	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // trainPending runs local training for every not-yet-trained in-flight
@@ -521,7 +525,7 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 				LR:        cfg.LR,
 				Momentum:  cfg.Momentum,
 			},
-			RNG: j.rng,
+			RNG: tensor.RestoreRNG(j.rng),
 		}
 	}
 	results, err := TrainAll(env, jobs, cfg.Allowance())
@@ -533,20 +537,6 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 		j.done = true
 	}
 	return nil
-}
-
-// releaseAll hands the in-flight buffers back on error paths, keeping the
-// engine leak-free even when an attacker-induced failure aborts the run
-// (the freelist is function-local, so this is bookkeeping hygiene; the
-// replica-pool leases inside TrainAll are already released by TrainLocal
-// itself — pinned by the leak test).
-func releaseAll(inflight []*asyncJob, release func(vs ...nn.ParamVector)) {
-	for _, j := range inflight {
-		release(j.fetch)
-		if j.trained != nil {
-			release(j.trained)
-		}
-	}
 }
 
 // insertSorted puts c back into the sorted available pool.

@@ -35,13 +35,12 @@ func TestAsyncOptionsValidate(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsRoundKnobs: churn and dropout act on a round's cohort,
-// which the async engine does not have, so RunAsync must refuse each by
-// name instead of silently running the static fleet.
+// TestAsyncRejectsRoundKnobs: churn acts on a round's cohort, which the
+// async engine does not have, so RunAsync must refuse it by name instead
+// of silently running the static fleet.
 func TestAsyncRejectsRoundKnobs(t *testing.T) {
 	for knob, set := range map[string]func(*Config){
-		"Churn":       func(c *Config) { c.Churn = ChurnOptions{Availability: 0.3, PeriodRounds: 4, Jitter: 0.3} },
-		"DropoutRate": func(c *Config) { c.DropoutRate = 0.2 },
+		"Churn": func(c *Config) { c.Churn = ChurnOptions{Availability: 0.3, PeriodRounds: 4, Jitter: 0.3} },
 	} {
 		t.Run(knob, func(t *testing.T) {
 			cfg := asyncCfg(1, 0)

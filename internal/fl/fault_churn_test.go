@@ -143,8 +143,8 @@ func TestRunUnderFaultsDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("fault telemetry incomplete: %+v", ref)
 	}
 	final := ref.Final()
-	if final.CumCrashes != ref.Crashes || final.CumFaultDrops != ref.FaultDrops ||
-		final.CumStalls != ref.Stalls {
+	if final.Cum.Crashes != ref.Crashes || final.Cum.FaultDrops != ref.FaultDrops ||
+		final.Cum.Stalls != ref.Stalls {
 		t.Fatalf("per-round cum counters disagree with run totals: %+v vs %+v", final, ref)
 	}
 }
@@ -164,8 +164,8 @@ func TestQuorumDegradationNeverHangs(t *testing.T) {
 	if h.Degraded == 0 {
 		t.Fatalf("expected degraded rounds under a 90%% crash rate and a full quorum: %+v", h)
 	}
-	if h.Final().CumDegraded != h.Degraded {
-		t.Fatalf("cum degraded %d != run total %d", h.Final().CumDegraded, h.Degraded)
+	if h.Final().Cum.Degraded != h.Degraded {
+		t.Fatalf("cum degraded %d != run total %d", h.Final().Cum.Degraded, h.Degraded)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestChurnRunTelemetryAndDeterminism(t *testing.T) {
 	if ref.Unavailable == 0 {
 		t.Fatalf("expected lost selection slots at 30%% availability over a shrinking fleet: %+v", ref)
 	}
-	if ref.Final().CumUnavailable != ref.Unavailable {
-		t.Fatalf("cum unavailable %d != run total %d", ref.Final().CumUnavailable, ref.Unavailable)
+	if ref.Final().Cum.Unavailable != ref.Unavailable {
+		t.Fatalf("cum unavailable %d != run total %d", ref.Final().Cum.Unavailable, ref.Unavailable)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // CohortPlan replays the engine's selection stream and returns the
-// cohort fl.Run will select for round r (0-based, pre-dropout) under a
+// cohort fl.Run will select for round r (0-based, before crash marking) under a
 // benign run whose algorithm does not implement Selector: it splits the
 // master RNG exactly as Run does, then consumes one Perm(n) per round
 // through round r. Because selection is a pure function of (seed, n, k,
@@ -69,8 +69,8 @@ func (p *cohortPlanner) draw(r int) []int {
 }
 
 // Take returns round r's cohort and releases the planner's reference, so
-// the round loop owns the slice (dropout marks slots in place, exactly
-// as with inline selection). Rounds are taken in ascending order.
+// the round loop owns the slice (crash marking writes slots in place,
+// exactly as with inline selection). Rounds are taken in ascending order.
 func (p *cohortPlanner) Take(r int) []int {
 	ids := p.draw(r)
 	delete(p.drawn, r)

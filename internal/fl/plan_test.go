@@ -86,11 +86,12 @@ func TestCohortPlanMatchesEngine(t *testing.T) {
 // TestRunIdenticalAcrossStripesAndPrefetch is the acceptance gate of the
 // striped-cache PR: fl.Run histories are byte-identical across stripe
 // counts {1, 8, 64} × prefetch lookahead {0, 1, 2}, with every lease
-// drained afterwards. Dropout is on, so the test also covers prefetching
-// pre-dropout plans whose clients later drop.
+// drained afterwards. Crash faults are on, so the test also covers
+// prefetching pre-crash plans whose clients later crash.
 func TestRunIdenticalAcrossStripesAndPrefetch(t *testing.T) {
 	base := Config{Rounds: 4, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 16,
-		LR: 0.05, Momentum: 0.5, EvalEvery: 2, Seed: 19, DropoutRate: 0.2}
+		LR: 0.05, Momentum: 0.5, EvalEvery: 2, Seed: 19,
+		Faults: FaultOptions{CrashRate: 0.2}}
 	var ref *History
 	for _, stripes := range []int{1, 8, 64} {
 		for _, pre := range []int{0, 1, 2} {

@@ -1,17 +1,22 @@
 package fl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"fedcross/internal/data"
 	"fedcross/internal/models"
 	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
 )
 
 // ckptWireAlgo is wireAlgo plus RoundCheckpointer: the smallest
@@ -329,4 +334,316 @@ func TestFaultedRoundsDrainAllLeases(t *testing.T) {
 	if n := leases(env); n != 0 {
 		t.Fatalf("killed async run leaked %d shard leases", n)
 	}
+}
+
+// The fixture runs whose snapshots seed FuzzCheckpointLoad and the
+// hostile-snapshot tests: a sync run on a lazy source with prefetch
+// lookahead (so the snapshot carries planned cohorts) and an async run,
+// both on a three-unit MLP so the snapshots stay small.
+const fixtureClients = 8
+
+func fixtureEnv(seed int64) *Env {
+	env := sourceEnv(seed, fixtureClients, data.Heterogeneity{IID: true}, "lazy")
+	env.Model = models.MLP(12, 3, 4)
+	return env
+}
+
+func fixtureSyncCfg(path string) Config {
+	cfg := resumeCfg(1)
+	cfg.PrefetchRounds = 2
+	cfg.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: 2}
+	return cfg
+}
+
+func fixtureAsyncCfg(path string) (Config, AsyncOptions) {
+	cfg, opts := asyncResumeCfg()
+	cfg.Checkpoint = CheckpointOptions{Path: path, StopAfterRound: 3}
+	return cfg, opts
+}
+
+// fixtureSnapshots runs both fixtures to their stop point and returns
+// the snapshot files' bytes.
+func fixtureSnapshots(tb testing.TB) (syncSnap, asyncSnap []byte) {
+	tb.Helper()
+	dir := tb.TempDir()
+	syncPath, asyncPath := filepath.Join(dir, "sync.ckpt"), filepath.Join(dir, "async.ckpt")
+	if _, err := Run(&ckptWireAlgo{}, fixtureEnv(71), fixtureSyncCfg(syncPath)); !errors.Is(err, ErrStopped) {
+		tb.Fatalf("sync fixture: want ErrStopped, got %v", err)
+	}
+	cfg, opts := fixtureAsyncCfg(asyncPath)
+	if _, err := RunAsync(fixtureEnv(72), cfg, opts); !errors.Is(err, ErrStopped) {
+		tb.Fatalf("async fixture: want ErrStopped, got %v", err)
+	}
+	var err error
+	if syncSnap, err = os.ReadFile(syncPath); err != nil {
+		tb.Fatal(err)
+	}
+	if asyncSnap, err = os.ReadFile(asyncPath); err != nil {
+		tb.Fatal(err)
+	}
+	return syncSnap, asyncSnap
+}
+
+// fixtureShapes returns what each fixture's snapshot must match: seed
+// and shape for the frame, and the engine-section parameters.
+func fixtureShapes() (syncSeed int64, syncShape []int64, asyncSeed int64, asyncShape []int64, opts AsyncOptions, dim int) {
+	scfg := fixtureSyncCfg("")
+	acfg, opts := fixtureAsyncCfg("")
+	opts = opts.resolve(acfg)
+	dim = len(nn.FlattenParams(fixtureEnv(72).Model.New(tensor.NewRNG(1)).Params()))
+	return scfg.Seed, []int64{int64(scfg.Rounds), int64(scfg.ClientsPerRound), fixtureClients},
+		acfg.Seed, []int64{int64(opts.Commits), int64(opts.Buffer), int64(opts.InFlight), fixtureClients, int64(dim)},
+		opts, dim
+}
+
+// rewriteSnapshot decodes a snapshot, lets mutate edit its engine
+// section, and re-encodes it with a valid checksum: the result passes
+// every frame check, so only the section's own validation stands
+// between it and the resumed engine.
+func rewriteSnapshot(t *testing.T, raw []byte, async bool, mutate func(run *runState, as *asyncState)) []byte {
+	t.Helper()
+	syncSeed, syncShape, asyncSeed, asyncShape, opts, dim := fixtureShapes()
+	tag, seed, shape := uint64(tagRun), syncSeed, syncShape
+	if async {
+		tag, seed, shape = tagAsync, asyncSeed, asyncShape
+	}
+	f, err := decodeFrame(raw, tag, seed, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var section func(*enc) error
+	if async {
+		st, err := readAsyncState(f.body, opts, fixtureClients, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(nil, st)
+		section = func(e *enc) error { st.write(e); return nil }
+	} else {
+		scfg := fixtureSyncCfg("")
+		st, err := readRunState(f.body, (&ckptWireAlgo{}).Name(), scfg.Rounds, fixtureClients, scfg.ClientsPerRound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(st, nil)
+		section = func(e *enc) error { st.write(e); return nil }
+	}
+	out, err := encodeFrame(nil, tag, seed, shape, f.cum, f.metrics, section)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// resumeFixture resumes the given fixture engine from snapshot bytes.
+func resumeFixture(t *testing.T, snap []byte, async bool) (*History, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "resume.ckpt")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if async {
+		cfg, opts := fixtureAsyncCfg(path)
+		cfg.Checkpoint = CheckpointOptions{Path: path, Resume: true}
+		return RunAsync(fixtureEnv(72), cfg, opts)
+	}
+	cfg := fixtureSyncCfg(path)
+	cfg.Checkpoint = CheckpointOptions{Path: path, Resume: true}
+	return Run(&ckptWireAlgo{}, fixtureEnv(71), cfg)
+}
+
+// TestFixtureSnapshotsResume: both fixture snapshots resume into the
+// uninterrupted history — the sync one with planned lookahead cohorts
+// in flight — so the hostile variants below fail for their one edit and
+// nothing else.
+func TestFixtureSnapshotsResume(t *testing.T) {
+	syncSnap, asyncSnap := fixtureSnapshots(t)
+	for _, async := range []bool{false, true} {
+		var full *History
+		var err error
+		if async {
+			cfg, opts := fixtureAsyncCfg("")
+			cfg.Checkpoint = CheckpointOptions{}
+			full, err = RunAsync(fixtureEnv(72), cfg, opts)
+		} else {
+			cfg := fixtureSyncCfg("")
+			cfg.Checkpoint = CheckpointOptions{}
+			full, err = Run(&ckptWireAlgo{}, fixtureEnv(71), cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := syncSnap
+		if async {
+			snap = asyncSnap
+		}
+		resumed, err := resumeFixture(t, snap, async)
+		if err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		if !reflect.DeepEqual(full, resumed) {
+			t.Fatalf("async=%v: resumed history diverged:\nfull    %+v\nresumed %+v", async, full, resumed)
+		}
+	}
+}
+
+// TestResumeRejectsHostileSections: snapshots that pass every frame
+// check (magic, version, checksum, engine, seed, shape) but carry an
+// impossible engine state fail with an error instead of panicking in
+// the resumed loop — a planned cohort naming a client past n (it used
+// to index the shard table out of range), a cohort for a round outside
+// the planned window or of the wrong size, and an async available pool
+// that is empty (the post-resume dispatch used to call Intn(0)),
+// unsorted, or overlapping the in-flight clients.
+func TestResumeRejectsHostileSections(t *testing.T) {
+	syncSnap, asyncSnap := fixtureSnapshots(t)
+	anyCohort := func(st *runState) int {
+		for r := range st.drawn {
+			return r
+		}
+		t.Fatal("sync fixture snapshot carries no planned cohort")
+		return 0
+	}
+	for _, tc := range []struct {
+		name   string
+		async  bool
+		mutate func(*runState, *asyncState)
+	}{
+		{"cohort id past n", false, func(st *runState, _ *asyncState) { st.drawn[anyCohort(st)][0] = 1 << 40 }},
+		{"cohort id below -1", false, func(st *runState, _ *asyncState) { st.drawn[anyCohort(st)][1] = -2 }},
+		{"cohort round before next", false, func(st *runState, _ *asyncState) {
+			r := anyCohort(st)
+			st.drawn[st.nextRound-1] = st.drawn[r]
+			delete(st.drawn, r)
+		}},
+		{"short cohort", false, func(st *runState, _ *asyncState) { r := anyCohort(st); st.drawn[r] = st.drawn[r][:1] }},
+		{"planner behind next round", false, func(st *runState, _ *asyncState) { st.plannerNext = st.nextRound - 1; st.drawn = nil }},
+		{"empty available pool", true, func(_ *runState, st *asyncState) { st.available = nil }},
+		{"unsorted available pool", true, func(_ *runState, st *asyncState) {
+			st.available[0], st.available[1] = st.available[1], st.available[0]
+		}},
+		{"available client in flight", true, func(_ *runState, st *asyncState) { insertSorted(&st.available, st.jobs[0].client) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := syncSnap
+			if tc.async {
+				raw = asyncSnap
+			}
+			_, err := resumeFixture(t, rewriteSnapshot(t, raw, tc.async, tc.mutate), tc.async)
+			if err == nil {
+				t.Fatal("hostile snapshot resumed")
+			}
+			t.Log(err)
+		})
+	}
+}
+
+// TestResumeRejectsBitFlip: one flipped byte inside the algorithm-state
+// blob leaves a well-formed snapshot that would resume into a different
+// history; the CRC32 trailer must catch it.
+func TestResumeRejectsBitFlip(t *testing.T) {
+	syncSnap, _ := fixtureSnapshots(t)
+	syncSeed, syncShape, _, _, _, _ := fixtureShapes()
+	f, err := decodeFrame(syncSnap, tagRun, syncSeed, syncShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := fixtureSyncCfg("")
+	st, err := readRunState(f.body, (&ckptWireAlgo{}).Name(), scfg.Rounds, fixtureClients, scfg.ClientsPerRound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blob is the section's last field, just before the 4-byte CRC.
+	flipped := slices.Clone(syncSnap)
+	flipped[len(flipped)-4-len(st.algoState)/2] ^= 0x10
+	_, err = resumeFixture(t, flipped, false)
+	if err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("err = %v, want a checksum error", err)
+	}
+}
+
+// TestResumeRejectsOtherEngine: a sync snapshot fed to RunAsync, and an
+// async one fed to Run, fail on the engine tag.
+func TestResumeRejectsOtherEngine(t *testing.T) {
+	syncSnap, asyncSnap := fixtureSnapshots(t)
+	for _, tc := range []struct {
+		name  string
+		snap  []byte
+		async bool
+	}{{"sync into RunAsync", syncSnap, true}, {"async into Run", asyncSnap, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := resumeFixture(t, tc.snap, tc.async)
+			if err == nil || !strings.Contains(err.Error(), "engine tag") {
+				t.Fatalf("err = %v, want an engine tag error", err)
+			}
+		})
+	}
+}
+
+// FuzzCheckpointLoad drives the one snapshot reader, for both engine
+// tags, with a valid checksum recomputed over the fuzzed body so the
+// fuzzer reaches the parser behind it. Every input must end in an error
+// or in a snapshot that satisfies the section invariants the engines
+// rely on — never a panic, and never an allocation beyond the bytes
+// present or the caps.
+func FuzzCheckpointLoad(f *testing.F) {
+	syncSnap, asyncSnap := fixtureSnapshots(f)
+	f.Add(false, syncSnap[:len(syncSnap)-4])
+	f.Add(true, asyncSnap[:len(asyncSnap)-4])
+	syncSeed, syncShape, asyncSeed, asyncShape, opts, dim := fixtureShapes()
+	scfg := fixtureSyncCfg("")
+	k := min(scfg.ClientsPerRound, fixtureClients)
+	f.Fuzz(func(t *testing.T, async bool, body []byte) {
+		data := binary.LittleEndian.AppendUint32(slices.Clip(body), crc32.ChecksumIEEE(body))
+		if async {
+			fr, err := decodeFrame(data, tagAsync, asyncSeed, asyncShape)
+			if err != nil {
+				return
+			}
+			st, err := readAsyncState(fr.body, opts, fixtureClients, dim)
+			if err != nil {
+				return
+			}
+			if len(st.global) != dim || len(st.jobs) != opts.InFlight-1 {
+				t.Fatalf("accepted global %d / %d jobs", len(st.global), len(st.jobs))
+			}
+			if st.nextCommit < opts.Commits && len(st.available) == 0 {
+				t.Fatal("accepted an empty available pool with commits left")
+			}
+			for i, c := range st.available {
+				if c < 0 || c >= fixtureClients || (i > 0 && c <= st.available[i-1]) {
+					t.Fatalf("accepted available pool %v", st.available)
+				}
+			}
+			for _, j := range st.jobs {
+				if j.client < 0 || j.client >= fixtureClients || slices.Contains(st.available, j.client) ||
+					len(j.fetch) != dim || (j.trained != nil && len(j.trained) != dim) {
+					t.Fatalf("accepted job %+v", j)
+				}
+			}
+			return
+		}
+		fr, err := decodeFrame(data, tagRun, syncSeed, syncShape)
+		if err != nil {
+			return
+		}
+		st, err := readRunState(fr.body, (&ckptWireAlgo{}).Name(), scfg.Rounds, fixtureClients, k)
+		if err != nil {
+			return
+		}
+		if st.nextRound < 0 || st.nextRound > st.plannerNext || st.plannerNext > scfg.Rounds ||
+			len(st.drawn) != st.plannerNext-st.nextRound {
+			t.Fatalf("accepted rounds next %d planned %d with %d cohorts", st.nextRound, st.plannerNext, len(st.drawn))
+		}
+		for r, ids := range st.drawn {
+			if r < st.nextRound || r >= st.plannerNext || len(ids) != k {
+				t.Fatalf("accepted cohort %d: %v", r, ids)
+			}
+			for _, id := range ids {
+				if id < -1 || id >= fixtureClients {
+					t.Fatalf("accepted cohort %d: %v", r, ids)
+				}
+			}
+		}
+	})
 }

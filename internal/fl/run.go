@@ -1,7 +1,10 @@
 package fl
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 
 	"fedcross/internal/nn"
 	"fedcross/internal/tensor"
@@ -40,6 +43,46 @@ type Selector interface {
 	SelectClients(r int, rng *tensor.RNG, n, k int) []int
 }
 
+// Counters is a run's cumulative wire and fault telemetry. History
+// holds the whole-run totals; each RoundMetric holds the totals up to
+// and including its round.
+type Counters struct {
+	// BytesDown / BytesUp are the wire traffic measured by the transport:
+	// byte-accurate encoded payload sizes, not model-equivalents.
+	BytesDown, BytesUp int64
+	// Stragglers counts clients whose upload missed the round deadline
+	// (0 unless Config.Transport sets a deadline).
+	Stragglers int
+	// Retries / FaultDrops / Duplicates / Stalls are the fault-injection
+	// telemetry: retry attempts, clients permanently lost to wire faults,
+	// duplicate deliveries, and stalled rounds (0 unless Config.Faults is
+	// active).
+	Retries, FaultDrops, Duplicates, Stalls int
+	// Crashes counts fault-injected pre-training client crashes.
+	Crashes int
+	// Unavailable counts selection slots lost to churn (offline or
+	// departed clients; 0 unless Config.Churn is active).
+	Unavailable int
+	// Degraded counts rounds whose accepted uploads fell below the
+	// Config.MinUploads quorum, so the server kept its current model.
+	Degraded int
+}
+
+// add returns the field-wise sum c + o.
+func (c Counters) add(o Counters) Counters {
+	c.BytesDown += o.BytesDown
+	c.BytesUp += o.BytesUp
+	c.Stragglers += o.Stragglers
+	c.Retries += o.Retries
+	c.FaultDrops += o.FaultDrops
+	c.Duplicates += o.Duplicates
+	c.Stalls += o.Stalls
+	c.Crashes += o.Crashes
+	c.Unavailable += o.Unavailable
+	c.Degraded += o.Degraded
+	return c
+}
+
 // RoundMetric records the state after one evaluated round.
 type RoundMetric struct {
 	// Round is the 1-based round index.
@@ -49,26 +92,8 @@ type RoundMetric struct {
 	// CumModelEquivalents is cumulative communication in model-sized
 	// units up to and including this round (the analytic Table-I view).
 	CumModelEquivalents float64
-	// CumBytesDown / CumBytesUp are the cumulative wire traffic measured
-	// by the transport — byte-accurate encoded payload sizes, not
-	// model-equivalents — up to and including this round.
-	CumBytesDown, CumBytesUp int64
-	// CumStragglers counts clients whose upload missed the round deadline
-	// so far (0 unless Config.Transport sets a deadline).
-	CumStragglers int
-	// CumRetries / CumFaultDrops / CumDuplicates / CumStalls are the
-	// cumulative fault-injection telemetry: retry attempts, clients
-	// permanently lost to wire faults, duplicate deliveries, and stalled
-	// rounds (0 unless Config.Faults is active).
-	CumRetries, CumFaultDrops, CumDuplicates, CumStalls int
-	// CumCrashes counts fault-injected pre-training client crashes.
-	CumCrashes int
-	// CumUnavailable counts selection slots lost to churn (offline or
-	// departed clients) so far (0 unless Config.Churn is active).
-	CumUnavailable int
-	// CumDegraded counts rounds whose accepted uploads fell below the
-	// Config.MinUploads quorum, so the server kept its current model.
-	CumDegraded int
+	// Cum holds the counters up to and including this round.
+	Cum Counters
 }
 
 // History is a full run record.
@@ -79,21 +104,8 @@ type History struct {
 	Metrics []RoundMetric
 	// Comm is the whole-run communication total in analytic units.
 	Comm CommProfile
-	// BytesDown / BytesUp are the whole-run wire traffic measured by the
-	// transport (encoded payload bytes).
-	BytesDown, BytesUp int64
-	// Stragglers is the whole-run count of deadline-missed uploads.
-	Stragglers int
-	// Retries / FaultDrops / Duplicates / Stalls are the whole-run fault
-	// telemetry (see the matching RoundMetric fields).
-	Retries, FaultDrops, Duplicates, Stalls int
-	// Crashes is the whole-run count of fault-injected client crashes.
-	Crashes int
-	// Unavailable is the whole-run count of selection slots lost to
-	// churn.
-	Unavailable int
-	// Degraded is the whole-run count of below-quorum rounds.
-	Degraded int
+	// Counters holds the whole-run totals.
+	Counters
 }
 
 // TotalBytes returns the run's whole wire traffic in both directions.
@@ -131,147 +143,85 @@ func (h *History) RoundsToAcc(acc float64) int {
 // Run executes a full FL simulation: Init, Rounds× (select → algorithm
 // round → optional eval), returning the metric history.
 func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSession("fl: Run", env, cfg)
+	if err != nil {
 		return nil, err
 	}
-	n := env.NumClients()
-	if n == 0 {
-		return nil, fmt.Errorf("fl: Run: environment has no clients")
-	}
-	k := cfg.ClientsPerRound
-	if k > n {
-		k = n
-	}
-	rng := tensor.NewRNG(cfg.Seed)
-	// The split order below is the determinism anchor: initRNG, selRNG,
-	// dropRNG, netRNG were split in exactly this order before the
-	// adversary existed, and advRNG comes last — the parent stream is
-	// never drawn from again, so benign histories are bit-identical to
-	// the pre-adversary engine, and the attacker set is a pure function
-	// of cfg.Seed (identical at every -jobs/worker fan-out).
-	initRNG := rng.Split()
-	selRNG := rng.Split()
-	dropRNG := rng.Split()
-	// The transport's stream is split after the pre-existing ones, so
-	// selection, dropout and algorithm randomness are untouched by its
-	// introduction — histories with the reference wire stay bit-identical
-	// to the accounting-only engine.
-	netRNG := rng.Split()
-	advRNG := rng.Split()
-	// Fault and churn streams are appended after every pre-existing
-	// split, exactly the advRNG pattern: the master is never drawn again,
-	// so a zero-rate plan leaves every existing history bit-unchanged.
-	// Each plan consumes one draw of its dedicated stream as its hash
-	// seed; decisions are pure functions of that seed, so they commute
-	// with worker scheduling and checkpoint/resume recomputes them free.
-	faultRNG := rng.Split()
-	churnRNG := rng.Split()
+	defer s.close()
+	env, n := s.env, s.n
+	k := min(cfg.ClientsPerRound, n)
+	// Slot 2 stays unused; slot 3 feeds each round's link draws.
+	netRNG := s.slot3
 	tr, err := NewTransport(cfg.Transport)
 	if err != nil {
 		return nil, fmt.Errorf("fl: Run: %w", err)
 	}
-	adv := NewAdversary(cfg.Adversary, n, advRNG)
-	tr.SetAdversary(adv)
-	faults := NewFaultPlan(cfg.Faults, faultRNG.Int63())
-	tr.SetFaultPlan(faults)
-	// Label-flip attackers train honestly on dishonest data: the
-	// algorithm sees a copy-on-write environment whose compromised shards
-	// carry flipped labels. Every other attack corrupts uploads at the
-	// transport seam instead.
-	env = adv.ShadowEnv(env)
-	// Virtual sybils extend the shadow population past n, so selection
-	// and per-client state must size against the shadow view. Without
-	// them the recount is a no-op.
-	if m := env.NumClients(); m != n {
-		n = m
-		k = cfg.ClientsPerRound
-		if k > n {
-			k = n
-		}
-	}
+	tr.SetAdversary(s.adv)
+	tr.SetFaultPlan(s.faults)
+	s.tr = tr
 	if ws, ok := cfg.Reducer.(WorkersSetter); ok {
 		ws.SetWorkers(cfg.Allowance())
 	}
 	if tu, ok := algo.(TransportUser); ok {
 		tu.SetTransport(tr)
 	}
-	// Cache geometry and prefetch both resolve against the shadow view:
-	// the stripe knob reaches the real source through the adversary
-	// wrapper, and prefetched sybil ids fold onto the real shards they
-	// recycle. Neither touches RNG, so histories are unchanged.
-	restripeSource(env, cfg)
-	prefetch := sourcePrefetcher(env, cfg)
-	if prefetch != nil {
-		// Early exits (round errors) must not leave pool goroutines
-		// synthesizing into a cache nobody will read.
-		defer prefetch.CancelPrefetch()
+	rc, _ := algo.(RoundCheckpointer)
+	if cfg.Checkpoint.Active() && rc == nil {
+		return nil, fmt.Errorf("fl: Run: algorithm %s does not support round checkpoints", algo.Name())
 	}
-	if err := algo.Init(env, cfg, initRNG); err != nil {
+	if err := algo.Init(env, cfg, s.initRNG); err != nil {
 		return nil, fmt.Errorf("fl: Run: init %s: %w", algo.Name(), err)
 	}
-	// Churn sizes against the shadow population (selection's id space).
-	churn := NewChurnPlan(cfg.Churn, churnRNG.Int63(), n, cfg.Rounds)
-	hist := &History{Algorithm: algo.Name()}
+	s.hist.Algorithm = algo.Name()
+	s.tag, s.shape = tagRun, []int64{int64(cfg.Rounds), int64(cfg.ClientsPerRound), int64(n)}
 	var acct Accountant
 	genFrac := 0.25 // generators are a quarter model, cf. comm.go
-	planner := newCohortPlanner(algo, selRNG, n, k, churn)
-	ck := cfg.Checkpoint
-	if ck.Active() {
-		if _, ok := algo.(RoundCheckpointer); !ok {
-			return nil, fmt.Errorf("fl: Run: algorithm %s does not support round checkpoints", algo.Name())
-		}
-	}
-	var crashes, unavailable, degraded int
+	planner := newCohortPlanner(algo, s.selRNG, n, k, s.churn)
 	startRound := 0
-	if ck.Resume {
-		// Restore overwrites stream positions and engine counters; the
-		// algorithm re-ran Init (consuming initRNG identically to the
-		// original run) and LoadState then replaced its state wholesale.
-		// Fault, churn, and adversary schedules are recomputed — they
-		// are pure functions of the seed.
-		snap, err := loadRunCheckpoint(ck.Path, cfg, algo, n)
+	if cfg.Checkpoint.Resume {
+		// The algorithm re-ran Init (consuming initRNG exactly as the
+		// original run did) and LoadState now replaces its state
+		// wholesale. Fault, churn and adversary schedules are recomputed:
+		// they are pure functions of the seed.
+		err := s.resume(func(d *dec) error {
+			st, err := readRunState(d, algo.Name(), cfg.Rounds, n, k)
+			if err != nil {
+				return err
+			}
+			if err := rc.LoadState(bytes.NewReader(st.algoState)); err != nil {
+				return fmt.Errorf("%s state: %w", algo.Name(), err)
+			}
+			startRound = st.nextRound
+			planner = newCohortPlanner(algo, tensor.RestoreRNG(st.sel), n, k, s.churn)
+			planner.next, planner.drawn = st.plannerNext, st.drawn
+			netRNG = tensor.RestoreRNG(st.net)
+			acct = st.acct
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fl: Run: %w", err)
+			return nil, err
 		}
-		startRound = snap.nextRound
-		selRNG = tensor.RestoreRNG(snap.selState)
-		dropRNG = tensor.RestoreRNG(snap.dropState)
-		netRNG = tensor.RestoreRNG(snap.netState)
-		planner = newCohortPlanner(algo, selRNG, n, k, churn)
-		planner.next = snap.plannerNext
-		planner.drawn = snap.drawn
-		tr.restoreCum(snap)
-		acct = Accountant{rounds: snap.acctRounds, total: snap.acctTotal}
-		hist.Metrics = snap.metrics
-		crashes, unavailable, degraded = snap.crashes, snap.unavailable, snap.degraded
 	}
 
 	for r := startRound; r < cfg.Rounds; r++ {
 		selected := planner.Take(r)
-		if churn.Active() {
+		if s.churn.Active() {
 			// Slots the planner padded or marked -1 are churn losses;
-			// dropout and crash marking below add their own.
+			// crash marking below adds its own.
 			for _, ci := range selected {
 				if ci < 0 {
-					unavailable++
+					s.cum.Unavailable++
 				}
 			}
 		}
-		if cfg.DropoutRate > 0 {
-			for i := range selected {
-				if dropRNG.Float64() < cfg.DropoutRate {
-					selected[i] = -1
-				}
-			}
-		}
-		if faults.Active() && cfg.Faults.CrashRate > 0 {
+		if s.faults.Active() && cfg.Faults.CrashRate > 0 {
 			// A crash consumes the activation but contributes nothing —
-			// marked exactly like a dropout so every algorithm already
-			// tolerates it.
+			// marked -1 like any lost slot, which every algorithm
+			// tolerates.
 			for i, ci := range selected {
-				if ci >= 0 && faults.Crashes(r, ci) {
+				if ci >= 0 && s.faults.Crashes(r, ci) {
 					selected[i] = -1
-					crashes++
+					s.cum.Crashes++
 				}
 			}
 		}
@@ -280,13 +230,13 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 		// round computes. The planner draws those cohorts now, but from
 		// the same selRNG positions they would occupy anyway — selection
 		// is a dedicated stream, so early draws are invisible. Prefetch
-		// enqueues pre-dropout plans (a dropped client's warm shard is
+		// enqueues pre-crash plans (a crashed client's warm shard is
 		// merely unused) and copies the ids before returning, so the
-		// round loop's later in-place dropout marking never races it.
-		if prefetch != nil {
+		// round loop's later in-place crash marking never races it.
+		if s.prefetch != nil {
 			for a := 1; a <= cfg.PrefetchRounds && r+a < cfg.Rounds; a++ {
 				if ids := planner.Ahead(r + a); ids != nil {
-					prefetch.Prefetch(ids)
+					s.prefetch.Prefetch(ids)
 				}
 			}
 		}
@@ -298,77 +248,105 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 			// The algorithms' reduce paths kept the current model (see
 			// ReduceUploads quorum gating); the engine records that the
 			// round degraded rather than aggregated.
-			degraded++
+			s.cum.Degraded++
 		}
 		tr.EndRound()
 		acct.Record(algo.RoundComm(k))
 
-		last := r == cfg.Rounds-1
-		if last || (cfg.EvalEvery > 0 && (r+1)%cfg.EvalEvery == 0) {
-			acc, loss, err := evaluate(env.Model, algo.Global(), env.Fed.Test, 64, cfg.Allowance())
-			if err != nil {
-				return nil, fmt.Errorf("fl: Run: eval round %d: %w", r, err)
+		stop, err := s.boundary(r+1, cfg.Rounds, algo.Global, acct.Total().TotalModelEquivalents(genFrac), func(e *enc) error {
+			var blob bytes.Buffer
+			if err := rc.SaveState(&blob); err != nil {
+				return fmt.Errorf("%s state: %w", algo.Name(), err)
 			}
-			down, up, stragglers := tr.Totals()
-			retries, faultDrops, dups, stalls := tr.FaultTotals()
-			hist.Metrics = append(hist.Metrics, RoundMetric{
-				Round:               r + 1,
-				TestAcc:             acc,
-				TestLoss:            loss,
-				CumModelEquivalents: acct.Total().TotalModelEquivalents(genFrac),
-				CumBytesDown:        down,
-				CumBytesUp:          up,
-				CumStragglers:       stragglers,
-				CumRetries:          retries,
-				CumFaultDrops:       faultDrops,
-				CumDuplicates:       dups,
-				CumStalls:           stalls,
-				CumCrashes:          crashes,
-				CumUnavailable:      unavailable,
-				CumDegraded:         degraded,
-			})
+			if blob.Len() > maxCkptBlob {
+				return fmt.Errorf("%s state %d bytes exceeds cap", algo.Name(), blob.Len())
+			}
+			st := runState{algo: algo.Name(), nextRound: r + 1, plannerNext: planner.next, drawn: planner.drawn,
+				sel: planner.rng.State(), net: netRNG.State(), acct: acct, algoState: blob.Bytes()}
+			st.write(e)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-
-		if ck.Active() {
-			stopHere := ck.StopAfterRound > 0 && r+1 == ck.StopAfterRound
-			if stopHere || (ck.Every > 0 && (r+1)%ck.Every == 0) {
-				snap := &runSnapshot{
-					nextRound:   r + 1,
-					selState:    selRNG.State(),
-					plannerNext: planner.next,
-					drawn:       planner.drawn,
-					dropState:   dropRNG.State(),
-					netState:    netRNG.State(),
-					crashes:     crashes,
-					unavailable: unavailable,
-					degraded:    degraded,
-					acctRounds:  acct.rounds,
-					acctTotal:   acct.total,
-					metrics:     hist.Metrics,
-				}
-				tr.captureCum(snap)
-				if err := saveRunCheckpoint(ck.Path, cfg, algo, n, snap); err != nil {
-					return nil, fmt.Errorf("fl: Run: checkpoint round %d: %w", r+1, err)
-				}
-			}
-			if stopHere {
-				finishHistory(hist, &acct, tr, crashes, unavailable, degraded)
-				return hist, ErrStopped
-			}
+		if stop {
+			return s.finish(acct.Total()), ErrStopped
 		}
 	}
-	finishHistory(hist, &acct, tr, crashes, unavailable, degraded)
-	return hist, nil
+	return s.finish(acct.Total()), nil
 }
 
-// finishHistory folds the run totals into the history record.
-func finishHistory(hist *History, acct *Accountant, tr *Transport, crashes, unavailable, degraded int) {
-	hist.Comm = acct.Total()
-	hist.BytesDown, hist.BytesUp, hist.Stragglers = tr.Totals()
-	hist.Retries, hist.FaultDrops, hist.Duplicates, hist.Stalls = tr.FaultTotals()
-	hist.Crashes = crashes
-	hist.Unavailable = unavailable
-	hist.Degraded = degraded
+// runState is Run's own snapshot section: everything past the shared
+// frame that a resumed run needs at a round boundary.
+type runState struct {
+	algo        string
+	nextRound   int
+	plannerNext int
+	// drawn holds the planner's lookahead cohorts: they left the
+	// selection stream before the snapshot position, so they travel
+	// with it.
+	drawn     map[int][]int
+	sel, net  tensor.RNGState
+	acct      Accountant
+	algoState []byte
+}
+
+func (st *runState) write(e *enc) {
+	e.bytes([]byte(st.algo))
+	e.i64(int64(st.nextRound), int64(st.plannerNext), int64(st.acct.rounds))
+	t := st.acct.total
+	e.i64(int64(t.ModelsDown), int64(t.ModelsUp), int64(t.VarsDown), int64(t.VarsUp), int64(t.GeneratorsDown))
+	e.rng(st.sel)
+	e.rng(st.net)
+	keys := slices.Sorted(maps.Keys(st.drawn))
+	e.u64(uint64(len(keys)))
+	for _, r := range keys {
+		e.i64(int64(r))
+		e.ints(st.drawn[r])
+	}
+	e.bytes(st.algoState)
+}
+
+// readRunState decodes Run's section and checks it against the resuming
+// run: the algorithm name, the round range, and every lookahead cohort,
+// which must cover exactly rounds [nextRound, plannerNext) with k ids
+// each in [-1, n).
+func readRunState(d *dec, algo string, rounds, n, k int) (*runState, error) {
+	st := &runState{algo: string(d.bytes(maxCkptString, "algorithm name"))}
+	st.nextRound, st.plannerNext, st.acct.rounds = d.int(), d.int(), d.int()
+	t := &st.acct.total
+	t.ModelsDown, t.ModelsUp, t.VarsDown, t.VarsUp, t.GeneratorsDown = d.int(), d.int(), d.int(), d.int(), d.int()
+	st.sel, st.net = d.rng(), d.rng()
+	switch {
+	case d.err != nil:
+	case st.algo != algo:
+		d.fail("checkpoint algorithm %q != run algorithm %q", st.algo, algo)
+	case st.nextRound < 0 || st.nextRound > st.plannerNext || st.plannerNext > rounds:
+		d.fail("rounds (next %d, planned %d) outside 0 ≤ next ≤ planned ≤ %d", st.nextRound, st.plannerNext, rounds)
+	}
+	nDrawn := d.count(maxCkptEntries, 16, "planned cohort")
+	if d.err == nil && nDrawn != st.plannerNext-st.nextRound {
+		d.fail("%d planned cohorts, want %d", nDrawn, st.plannerNext-st.nextRound)
+	}
+	st.drawn = make(map[int][]int, nDrawn)
+	for range nDrawn {
+		r := d.int()
+		ids := d.ints("planned cohort")
+		if _, dup := st.drawn[r]; d.err == nil && (dup || r < st.nextRound || r >= st.plannerNext || len(ids) != k) {
+			d.fail("planned cohort for round %d (%d ids) outside rounds [%d,%d) with %d ids each", r, len(ids), st.nextRound, st.plannerNext, k)
+		}
+		for _, id := range ids {
+			if d.err == nil && (id < -1 || id >= n) {
+				d.fail("planned client %d outside [-1,%d)", id, n)
+			}
+		}
+		st.drawn[r] = ids
+	}
+	st.algoState = d.bytes(maxCkptBlob, "algorithm state")
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // selectClients asks the algorithm first and falls back to uniform random

@@ -136,29 +136,19 @@ type Transport struct {
 	adv *Adversary
 
 	// faults, when non-nil, is the run's deterministic fault schedule
-	// (see FaultPlan). Set by the runner; round tracks the 0-based round
+	// (see FaultPlan). Set by the runner; r tracks the 0-based round
 	// index BeginRound was last given, so fault decisions key off it.
 	faults *FaultPlan
-	round  int
+	r      int
 	// stall is the server-side latency every link starts this round with
 	// (a stall fault); retries/retryBackoff mirror TransportOptions.
 	stall        float64
 	retries      int
 	retryBackoff float64
 
-	// round counters, folded into the cumulative ones by EndRound.
-	roundDown, roundUp int64
-	roundStragglers    int
-	roundRetries       int
-	roundFaultDrops    int
-	roundDuplicates    int
-	roundStalls        int
-	cumDown, cumUp     int64
-	cumStragglers      int
-	cumRetries         int
-	cumFaultDrops      int
-	cumDuplicates      int
-	cumStalls          int
+	// round counts this round's wire telemetry; EndRound folds it into
+	// cum, the run totals.
+	round, cum Counters
 
 	// scratch holds one encode/residual scratch per deliver worker;
 	// Down and Broadcast use scratch[0] from the serial phases. plans
@@ -252,13 +242,12 @@ func (t *Transport) BeginRound(r int, selected []int, rng *tensor.RNG) {
 	if t == nil {
 		return
 	}
-	t.round = r
-	t.roundDown, t.roundUp, t.roundStragglers = 0, 0, 0
-	t.roundRetries, t.roundFaultDrops, t.roundDuplicates, t.roundStalls = 0, 0, 0, 0
+	t.r = r
+	t.round = Counters{}
 	t.stall = 0
 	if t.faults.Stalls(r) {
 		t.stall = t.faults.StallSec()
-		t.roundStalls++
+		t.round.Stalls++
 	}
 	t.adv.BeginRound()
 	clear(t.links)
@@ -286,7 +275,7 @@ func (t *Transport) BeginRound(r int, selected []int, rng *tensor.RNG) {
 // applyLinkFaults layers this round's straggle and stall faults onto a
 // freshly built link.
 func (t *Transport) applyLinkFaults(l *link, client int) {
-	if t.faults.Straggles(t.round, client) {
+	if t.faults.Straggles(t.r, client) {
 		f := t.faults.StraggleFactor()
 		l.downRate /= f
 		l.upRate /= f
@@ -297,38 +286,24 @@ func (t *Transport) applyLinkFaults(l *link, client int) {
 
 func mbpsToBytesPerSec(mbps float64) float64 { return mbps * 1e6 / 8 }
 
-// EndRound folds the round counters into the run totals and returns the
-// round's traffic and straggler count.
-func (t *Transport) EndRound() (bytesDown, bytesUp int64, stragglers int) {
+// EndRound folds the round counters into the run totals and returns
+// them.
+func (t *Transport) EndRound() Counters {
 	if t == nil {
-		return 0, 0, 0
+		return Counters{}
 	}
-	t.cumDown += t.roundDown
-	t.cumUp += t.roundUp
-	t.cumStragglers += t.roundStragglers
-	t.cumRetries += t.roundRetries
-	t.cumFaultDrops += t.roundFaultDrops
-	t.cumDuplicates += t.roundDuplicates
-	t.cumStalls += t.roundStalls
-	return t.roundDown, t.roundUp, t.roundStragglers
+	t.cum = t.cum.add(t.round)
+	return t.round
 }
 
-// Totals returns the cumulative run traffic and straggler count.
-func (t *Transport) Totals() (bytesDown, bytesUp int64, stragglers int) {
+// Totals returns the cumulative run counters: traffic, stragglers and
+// the wire-fault telemetry (retry attempts, clients permanently lost to
+// faults, duplicate deliveries, stalled rounds).
+func (t *Transport) Totals() Counters {
 	if t == nil {
-		return 0, 0, 0
+		return Counters{}
 	}
-	return t.cumDown, t.cumUp, t.cumStragglers
-}
-
-// FaultTotals returns the cumulative fault telemetry: upload retry
-// attempts, clients permanently lost to faults (retries exhausted),
-// duplicate deliveries, and stalled rounds.
-func (t *Transport) FaultTotals() (retries, faultDrops, duplicates, stalls int) {
-	if t == nil {
-		return 0, 0, 0, 0
-	}
-	return t.cumRetries, t.cumFaultDrops, t.cumDuplicates, t.cumStalls
+	return t.cum
 }
 
 // RoundUploaders counts the clients whose uploads the server has accepted
@@ -356,7 +331,7 @@ func (t *Transport) Down(dst nn.ParamVector, client int, vec nn.ParamVector) nn.
 		return vec
 	}
 	size := t.codec.EncodedSize(len(vec))
-	t.roundDown += size
+	t.round.BytesDown += size
 	t.chargeTime(client, size, true)
 	out, err := t.deliver(t.scratch[0], dst, vec, nil, mangleNone)
 	if err != nil {
@@ -380,7 +355,7 @@ func (t *Transport) Broadcast(dst nn.ParamVector, clients []int, vec nn.ParamVec
 		if ci < 0 {
 			continue
 		}
-		t.roundDown += size
+		t.round.BytesDown += size
 		t.chargeTime(ci, size, true)
 	}
 	out, err := t.deliver(t.scratch[0], dst, vec, nil, mangleNone)
@@ -489,9 +464,9 @@ func (t *Transport) planUp(u *Upload, i int) bool {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			t.backoff(u.Client, attempt)
-			t.roundRetries++
+			t.round.Retries++
 		}
-		t.roundUp += size
+		t.round.BytesUp += size
 		if !t.chargeTime(u.Client, size, false) {
 			t.markStraggler(u.Client)
 			break
@@ -499,13 +474,13 @@ func (t *Transport) planUp(u *Upload, i int) bool {
 		// Wire losses: an outright drop, or a payload the decode rejects
 		// (truncated body, flipped header). Each is a pure per-attempt
 		// hash, so a retry redraws its fate.
-		lost := t.faults.Drops(t.round, u.Client, attempt)
+		lost := t.faults.Drops(t.r, u.Client, attempt)
 		m := mangleNone
 		if !lost {
 			switch {
-			case t.faults.Truncates(t.round, u.Client, attempt):
+			case t.faults.Truncates(t.r, u.Client, attempt):
 				m = mangleTruncate
-			case t.faults.Corrupts(t.round, u.Client, attempt):
+			case t.faults.Corrupts(t.r, u.Client, attempt):
 				m = mangleCorrupt
 			}
 			// The lossless pass-through never materializes wire bytes to
@@ -519,12 +494,12 @@ func (t *Transport) planUp(u *Upload, i int) bool {
 				*plan = append(*plan, m)
 			}
 			if m == mangleNone {
-				if t.faults.Duplicates(t.round, u.Client) {
+				if t.faults.Duplicates(t.r, u.Client) {
 					// The duplicate's bytes and wire time are charged; the
 					// server dedups the payload itself.
-					t.roundUp += size
+					t.round.BytesUp += size
 					t.chargeTime(u.Client, size, false)
-					t.roundDuplicates++
+					t.round.Duplicates++
 				}
 				if l := t.links[u.Client]; l != nil {
 					l.okUps++
@@ -580,7 +555,7 @@ func (t *Transport) markStraggler(client int) {
 	}
 	if !l.straggler {
 		l.straggler = true
-		t.roundStragglers++
+		t.round.Stragglers++
 	}
 }
 
@@ -595,7 +570,7 @@ func (t *Transport) markFailed(client int) {
 	}
 	if !l.failed {
 		l.failed = true
-		t.roundFaultDrops++
+		t.round.FaultDrops++
 	}
 }
 

@@ -40,8 +40,8 @@ func TestTransportNilPassThrough(t *testing.T) {
 		t.Fatal("nil transport Broadcast must return the input vector")
 	}
 	tr.BeginRound(0, []int{0, 1}, nil)
-	if d, u, s := tr.EndRound(); d != 0 || u != 0 || s != 0 {
-		t.Fatalf("nil transport accounted %d/%d/%d", d, u, s)
+	if c := tr.EndRound(); c != (Counters{}) {
+		t.Fatalf("nil transport accounted %+v", c)
 	}
 	if !tr.PassThrough() {
 		t.Fatal("nil transport must report PassThrough")
@@ -71,7 +71,8 @@ func TestTransportIdentityZeroCopy(t *testing.T) {
 	}
 
 	perPayload := (nn.IdentityCodec{}).EncodedSize(100)
-	down, up, stragglers := tr.EndRound()
+	c := tr.EndRound()
+	down, up, stragglers := c.BytesDown, c.BytesUp, c.Stragglers
 	if want := 3 * perPayload; down != want { // 1 Down + 2 Broadcast recipients
 		t.Fatalf("down bytes %d, want %d", down, want)
 	}
@@ -81,8 +82,8 @@ func TestTransportIdentityZeroCopy(t *testing.T) {
 	if stragglers != 0 {
 		t.Fatalf("stragglers %d, want 0", stragglers)
 	}
-	if d, u, _ := tr.Totals(); d != down || u != up {
-		t.Fatalf("totals %d/%d, want %d/%d", d, u, down, up)
+	if tot := tr.Totals(); tot.BytesDown != down || tot.BytesUp != up {
+		t.Fatalf("totals %d/%d, want %d/%d", tot.BytesDown, tot.BytesUp, down, up)
 	}
 }
 
@@ -165,8 +166,7 @@ func TestTransportDeadlineStragglers(t *testing.T) {
 				}
 			}
 		}
-		_, _, s := tr.EndRound()
-		return missed, s
+		return missed, tr.EndRound().Stragglers
 	}
 
 	missedA, stragglersA := run(42)
@@ -258,20 +258,20 @@ func serialUp(t *Transport, dst nn.ParamVector, client int, vec, ref nn.ParamVec
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			t.backoff(client, attempt)
-			t.roundRetries++
+			t.round.Retries++
 		}
-		t.roundUp += size
+		t.round.BytesUp += size
 		if !t.chargeTime(client, size, false) {
 			t.markStraggler(client)
 			return vec, false
 		}
-		lost := t.faults.Drops(t.round, client, attempt)
+		lost := t.faults.Drops(t.r, client, attempt)
 		m := mangleNone
 		if !lost {
 			switch {
-			case t.faults.Truncates(t.round, client, attempt):
+			case t.faults.Truncates(t.r, client, attempt):
 				m = mangleTruncate
-			case t.faults.Corrupts(t.round, client, attempt):
+			case t.faults.Corrupts(t.r, client, attempt):
 				m = mangleCorrupt
 			}
 			if m != mangleNone && t.codec.Lossless() {
@@ -281,10 +281,10 @@ func serialUp(t *Transport, dst nn.ParamVector, client int, vec, ref nn.ParamVec
 		if !lost {
 			out, err := t.deliver(t.scratch[0], dst, vec, ref, m)
 			if err == nil {
-				if t.faults.Duplicates(t.round, client) {
-					t.roundUp += size
+				if t.faults.Duplicates(t.r, client) {
+					t.round.BytesUp += size
 					t.chargeTime(client, size, false)
-					t.roundDuplicates++
+					t.round.Duplicates++
 				}
 				if l := t.links[client]; l != nil {
 					l.okUps++
@@ -432,23 +432,15 @@ func TestUpAllMatchesSerialOracle(t *testing.T) {
 				}
 				batched.EndRound()
 				oracle.EndRound()
-				d1, u1, s1 := batched.Totals()
-				d0, u0, s0 := oracle.Totals()
-				if d1 != d0 || u1 != u0 || s1 != s0 {
-					t.Fatalf("%s: Totals %d/%d/%d, oracle %d/%d/%d", name, d1, u1, s1, d0, u0, s0)
-				}
-				r1, f1, dup1, st1 := batched.FaultTotals()
-				r0, f0, dup0, st0 := oracle.FaultTotals()
-				if r1 != r0 || f1 != f0 || dup1 != dup0 || st1 != st0 {
-					t.Fatalf("%s: FaultTotals %d/%d/%d/%d, oracle %d/%d/%d/%d", name, r1, f1, dup1, st1, r0, f0, dup0, st0)
+				if got, want := batched.Totals(), oracle.Totals(); got != want {
+					t.Fatalf("%s: Totals %+v, oracle %+v", name, got, want)
 				}
 			}
-			_, _, s := oracle.Totals()
-			r, f, d, _ := oracle.FaultTotals()
-			stragglers += s
-			retries += r
-			faultDrops += f
-			duplicates += d
+			tot := oracle.Totals()
+			stragglers += tot.Stragglers
+			retries += tot.Retries
+			faultDrops += tot.FaultDrops
+			duplicates += tot.Duplicates
 		}
 	}
 	// The grid is only a check if every path it claims to cover fired.

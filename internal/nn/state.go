@@ -22,8 +22,6 @@ const (
 	maxStateVectorLen = 1 << 27
 	// maxStateEntries caps map/slice entry counts (client ids, tensors).
 	maxStateEntries = 1 << 22
-	// maxStateStringLen caps serialized string lengths.
-	maxStateStringLen = 1 << 12
 	// stateChunkBytes bounds read granularity for large payloads.
 	stateChunkBytes = 1 << 20
 )
@@ -61,34 +59,6 @@ func WriteF64(w io.Writer, v float64) error { return WriteU64(w, math.Float64bit
 func ReadF64(r io.Reader) (float64, error) {
 	bits, err := ReadU64(r)
 	return math.Float64frombits(bits), err
-}
-
-// WriteString writes a length-prefixed string.
-func WriteString(w io.Writer, s string) error {
-	if len(s) > maxStateStringLen {
-		return fmt.Errorf("nn: state string %d bytes exceeds cap %d", len(s), maxStateStringLen)
-	}
-	if err := WriteU64(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-// ReadString reads a length-prefixed string.
-func ReadString(r io.Reader) (string, error) {
-	n, err := ReadU64(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxStateStringLen {
-		return "", fmt.Errorf("nn: state string length %d exceeds cap %d", n, maxStateStringLen)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
 
 // WriteVector writes a length-prefixed parameter vector. A nil vector is

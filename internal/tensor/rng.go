@@ -105,6 +105,11 @@ func (g *RNG) Split() *RNG {
 	return NewRNG(g.r.Int63())
 }
 
+// SplitState is Split as a snapshot: it consumes the same parent draw,
+// and RestoreRNG of its result is the child Split would return, built
+// only when it is first needed.
+func (g *RNG) SplitState() RNGState { return RNGState{Seed: g.r.Int63()} }
+
 // SplitN derives n independent children in one call, in order. It is the
 // pre-dispatch half of the concurrency contract above: call it serially,
 // then move each child to its worker, where its first draw seeds it.

@@ -555,6 +555,11 @@ func TestSplitNMatchesConsecutiveSplits(t *testing.T) {
 	if a.Int63() != b.Int63() {
 		t.Fatal("SplitN consumed a different number of parent draws than n Splits")
 	}
+	for i := 0; i < 3; i++ {
+		if st, want := a.SplitState(), b.Split().State(); st != want {
+			t.Fatalf("SplitState %d = %+v, Split child state %+v", i, st, want)
+		}
+	}
 
 	// Children are seeded lazily: until its first draw a child reports
 	// position 0 at the seed its parent drew, restores to itself, and

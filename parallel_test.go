@@ -40,7 +40,7 @@ func TestParallelismInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := prof.Config(1)
-				cfg.DropoutRate = 0.2 // exercise the dropped-client paths too
+				cfg.Faults.CrashRate = 0.2 // exercise the lost-client (-1) paths too
 				hist, err := Run(algo, env, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -99,7 +99,7 @@ func TestTransportParallelismInvariance(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg := prof.Config(1)
-					cfg.DropoutRate = 0.2
+					cfg.Faults.CrashRate = 0.2
 					wire.apply(&cfg)
 					hist, err := Run(algo, env, cfg)
 					if err != nil {
