@@ -230,6 +230,16 @@ func quantizeTokens(vals []float64, vocab int) {
 	}
 }
 
+// drawsPerRound bounds the draw calls a round makes on the algorithm
+// stream: one training-stream Split and AugmentPerClient generated
+// samples per activated client, and GenSteps·GenBatch samples for the
+// generator update, each sample one Intn label plus NoiseDim Normals.
+// Init makes three Splits on top.
+func (a *FedGen) drawsPerRound() int {
+	sample := 1 + a.opts.NoiseDim
+	return a.cfg.ClientsPerRound*(1+a.opts.AugmentPerClient*sample) + a.opts.GenSteps*a.opts.GenBatch*sample
+}
+
 // generate draws n conditioned samples from the client-side generator
 // view (the wire-decoded twin loaded at the top of the round).
 func (a *FedGen) generate(n int) (*tensor.Tensor, []int) {

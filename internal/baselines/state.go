@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"fedcross/internal/fl"
 	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
 )
 
 // Round-granular checkpoint state for the five baselines, implementing
@@ -14,6 +16,14 @@ import (
 // resumed run replays the remaining rounds bit-identically. Per-round
 // scratch (decode buffers, job lists, FedGen's client-side generator
 // twin) is rebuilt from that state and deliberately absent.
+
+// rngCap bounds an algorithm stream's snapshotted position for ReadRNG:
+// init draw calls at Init plus at most perRound in each configured round.
+// FedAvg, FedProx, SCAFFOLD and CluSamp split one training stream per
+// activated client (at most ClientsPerRound) and split once at Init.
+func rngCap(cfg fl.Config, init, perRound int) uint64 {
+	return tensor.DrawCap(uint64(init) + uint64(cfg.Rounds)*uint64(perRound))
+}
 
 // SaveState implements fl.RoundCheckpointer.
 func (a *FedAvg) SaveState(w io.Writer) error {
@@ -29,7 +39,7 @@ func (a *FedAvg) LoadState(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("baselines: fedavg state: %w", err)
 	}
-	rng, err := nn.ReadRNG(r)
+	rng, err := nn.ReadRNG(r, rngCap(a.cfg, 1, a.cfg.ClientsPerRound))
 	if err != nil {
 		return fmt.Errorf("baselines: fedavg state: %w", err)
 	}
@@ -51,7 +61,7 @@ func (a *FedProx) LoadState(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("baselines: fedprox state: %w", err)
 	}
-	rng, err := nn.ReadRNG(r)
+	rng, err := nn.ReadRNG(r, rngCap(a.cfg, 1, a.cfg.ClientsPerRound))
 	if err != nil {
 		return fmt.Errorf("baselines: fedprox state: %w", err)
 	}
@@ -88,7 +98,7 @@ func (a *SCAFFOLD) LoadState(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("baselines: scaffold state: %w", err)
 	}
-	rng, err := nn.ReadRNG(r)
+	rng, err := nn.ReadRNG(r, rngCap(a.cfg, 1, a.cfg.ClientsPerRound))
 	if err != nil {
 		return fmt.Errorf("baselines: scaffold state: %w", err)
 	}
@@ -118,7 +128,7 @@ func (a *CluSamp) LoadState(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("baselines: clusamp state: %w", err)
 	}
-	rng, err := nn.ReadRNG(r)
+	rng, err := nn.ReadRNG(r, rngCap(a.cfg, 1, a.cfg.ClientsPerRound))
 	if err != nil {
 		return fmt.Errorf("baselines: clusamp state: %w", err)
 	}
@@ -161,7 +171,7 @@ func (a *FedGen) LoadState(r io.Reader) error {
 	if err := a.genOpt.LoadState(r); err != nil {
 		return fmt.Errorf("baselines: fedgen state: optimizer: %w", err)
 	}
-	rng, err := nn.ReadRNG(r)
+	rng, err := nn.ReadRNG(r, rngCap(a.cfg, 3, a.drawsPerRound()))
 	if err != nil {
 		return fmt.Errorf("baselines: fedgen state: %w", err)
 	}

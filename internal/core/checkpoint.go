@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"fedcross/internal/nn"
+	"fedcross/internal/tensor"
 )
 
 // Checkpointing lets a FedCross deployment persist the middleware-model
@@ -147,7 +148,9 @@ func (f *FedCross) LoadState(r io.Reader) error {
 	if err := f.Load(r); err != nil {
 		return err
 	}
-	rng, err := nn.ReadRNG(r)
+	// One Split at Init; per round at most a Perm(k) of the middleware
+	// assignment and one training-stream Split per activated client.
+	rng, err := nn.ReadRNG(r, tensor.DrawCap(1+uint64(f.cfg.Rounds)*2*uint64(f.cfg.ClientsPerRound)))
 	if err != nil {
 		return fmt.Errorf("core: LoadState rng: %w", err)
 	}

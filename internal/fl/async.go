@@ -270,7 +270,16 @@ func RunAsync(env *Env, cfg Config, opts AsyncOptions) (*History, error) {
 			}
 			commits, now, seq, version = st.nextCommit, st.now, st.seq, st.version
 			arrivals, dispatches = st.arrivals, st.dispatches
-			selRNG, timeRNG, jobRNG = tensor.RestoreRNG(st.sel), tensor.RestoreRNG(st.time), tensor.RestoreRNG(st.job)
+			selCap, timeCap, jobCap := st.streamCaps(opts)
+			if selRNG, err = tensor.RestoreRNG(st.sel, selCap); err != nil {
+				return err
+			}
+			if timeRNG, err = tensor.RestoreRNG(st.time, timeCap); err != nil {
+				return err
+			}
+			if jobRNG, err = tensor.RestoreRNG(st.job, jobCap); err != nil {
+				return err
+			}
 			available, inflight = st.available, st.jobs
 			copy(global, st.global)
 			return nil
@@ -417,6 +426,18 @@ type asyncState struct {
 	jobs []*asyncJob
 }
 
+// streamCaps returns the most base draws each of RunAsync's snapshotted
+// streams can have made (tensor.DrawCap). Commits fire every Buffer
+// arrivals and every arrival but the snapshot's own is followed by one
+// dispatch, so a snapshot at nextCommit follows at most
+// nextCommit·Buffer + InFlight dispatches; each draws one Intn from the
+// selection stream, at most four Normals from the time stream and one
+// SplitState from the job stream.
+func (st *asyncState) streamCaps(opts AsyncOptions) (sel, time, job uint64) {
+	d := uint64(st.nextCommit)*uint64(opts.Buffer) + uint64(opts.InFlight)
+	return tensor.DrawCap(d), tensor.DrawCap(4 * d), tensor.DrawCap(d)
+}
+
 func (st *asyncState) write(e *enc) {
 	e.i64(int64(st.nextCommit), int64(st.seq), int64(st.version), int64(st.arrivals), int64(st.dispatches))
 	e.f64(st.now)
@@ -525,7 +546,8 @@ func trainPending(env *Env, cfg Config, inflight []*asyncJob) error {
 				LR:        cfg.LR,
 				Momentum:  cfg.Momentum,
 			},
-			RNG: tensor.RestoreRNG(j.rng),
+			// j.rng is a SplitState, never drawn in place (position 0).
+			RNG: tensor.NewRNG(j.rng.Seed),
 		}
 	}
 	results, err := TrainAll(env, jobs, cfg.Allowance())

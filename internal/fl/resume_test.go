@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"fedcross/internal/data"
 	"fedcross/internal/models"
@@ -35,7 +36,9 @@ func (s *ckptWireAlgo) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	rng, err := nn.ReadRNG(r)
+	// Init draws one value per parameter; each round splits one stream
+	// per activated client.
+	rng, err := nn.ReadRNG(r, tensor.DrawCap(uint64(len(s.global)+s.cfg.Rounds*s.cfg.ClientsPerRound)))
 	if err != nil {
 		return err
 	}
@@ -538,6 +541,47 @@ func TestResumeRejectsHostileSections(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsHugeStreamPosition: a snapshot with a valid checksum
+// whose stream position is 2^40 — every engine stream in turn, and the
+// algorithm's own stream inside its state blob — must fail the resume
+// in well under a second instead of replaying 2^40 draws.
+func TestResumeRejectsHugeStreamPosition(t *testing.T) {
+	syncSnap, asyncSnap := fixtureSnapshots(t)
+	const huge = 1 << 40
+	for _, tc := range []struct {
+		name   string
+		async  bool
+		mutate func(*runState, *asyncState)
+	}{
+		{"sync selection", false, func(st *runState, _ *asyncState) { st.sel.Pos = huge }},
+		{"sync network", false, func(st *runState, _ *asyncState) { st.net.Pos = huge }},
+		{"algorithm stream", false, func(st *runState, _ *asyncState) {
+			// The blob ends with WriteRNG's (seed, position) words.
+			binary.LittleEndian.PutUint64(st.algoState[len(st.algoState)-8:], huge)
+		}},
+		{"async selection", true, func(_ *runState, st *asyncState) { st.sel.Pos = huge }},
+		{"async time", true, func(_ *runState, st *asyncState) { st.time.Pos = huge }},
+		{"async job", true, func(_ *runState, st *asyncState) { st.job.Pos = huge }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := syncSnap
+			if tc.async {
+				raw = asyncSnap
+			}
+			snap := rewriteSnapshot(t, raw, tc.async, tc.mutate)
+			start := time.Now()
+			_, err := resumeFixture(t, snap, tc.async)
+			if err == nil {
+				t.Fatal("snapshot with a 2^40 stream position resumed")
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("rejection took %v", d)
+			}
+			t.Log(err)
+		})
+	}
+}
+
 // TestResumeRejectsBitFlip: one flipped byte inside the algorithm-state
 // blob leaves a well-formed snapshot that would resume into a different
 // history; the CRC32 trailer must catch it.
@@ -584,8 +628,8 @@ func TestResumeRejectsOtherEngine(t *testing.T) {
 // tags, with a valid checksum recomputed over the fuzzed body so the
 // fuzzer reaches the parser behind it. Every input must end in an error
 // or in a snapshot that satisfies the section invariants the engines
-// rely on — never a panic, and never an allocation beyond the bytes
-// present or the caps.
+// rely on — never a panic, never an allocation beyond the bytes present
+// or the caps, and no stream whose replay exceeds its cap.
 func FuzzCheckpointLoad(f *testing.F) {
 	syncSnap, asyncSnap := fixtureSnapshots(f)
 	f.Add(false, syncSnap[:len(syncSnap)-4])
@@ -621,6 +665,12 @@ func FuzzCheckpointLoad(f *testing.F) {
 					t.Fatalf("accepted job %+v", j)
 				}
 			}
+			// Restoring the streams as RunAsync does replays at most their
+			// caps: a position past one fails before any replay.
+			selCap, timeCap, jobCap := st.streamCaps(opts)
+			restoreWithin(t, st.sel, selCap)
+			restoreWithin(t, st.time, timeCap)
+			restoreWithin(t, st.job, jobCap)
 			return
 		}
 		fr, err := decodeFrame(data, tagRun, syncSeed, syncShape)
@@ -645,5 +695,21 @@ func FuzzCheckpointLoad(f *testing.F) {
 				}
 			}
 		}
+		selCap, netCap := st.streamCaps(fixtureClients, k)
+		restoreWithin(t, st.sel, selCap)
+		restoreWithin(t, st.net, netCap)
 	})
+}
+
+// restoreWithin restores st under cap as a resume does and checks the
+// outcome: a generator at st.Pos when st.Pos <= cap, an error otherwise.
+func restoreWithin(t *testing.T, st tensor.RNGState, cap uint64) {
+	t.Helper()
+	g, err := tensor.RestoreRNG(st, cap)
+	switch {
+	case st.Pos > cap && err == nil:
+		t.Fatalf("restored position %d past cap %d", st.Pos, cap)
+	case st.Pos <= cap && (err != nil || g.State() != st):
+		t.Fatalf("restore of %+v under cap %d: %v", st, cap, err)
+	}
 }

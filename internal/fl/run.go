@@ -38,7 +38,10 @@ type Algorithm interface {
 
 // Selector is optionally implemented by algorithms that choose their own
 // clients (CluSamp's clustered sampling). The Runner falls back to uniform
-// random selection otherwise.
+// random selection otherwise. SelectClients may make at most n+2k+1 draw
+// calls on rng (a Perm or Shuffle of the population plus a few picks per
+// slot): a resumed run bounds the selection stream's replay by that
+// budget (see selectionCalls).
 type Selector interface {
 	SelectClients(r int, rng *tensor.RNG, n, k int) []int
 }
@@ -191,10 +194,17 @@ func Run(algo Algorithm, env *Env, cfg Config) (*History, error) {
 			if err := rc.LoadState(bytes.NewReader(st.algoState)); err != nil {
 				return fmt.Errorf("%s state: %w", algo.Name(), err)
 			}
+			selCap, netCap := st.streamCaps(n, k)
+			selRNG, err := tensor.RestoreRNG(st.sel, selCap)
+			if err != nil {
+				return err
+			}
+			if netRNG, err = tensor.RestoreRNG(st.net, netCap); err != nil {
+				return err
+			}
 			startRound = st.nextRound
-			planner = newCohortPlanner(algo, tensor.RestoreRNG(st.sel), n, k, s.churn)
+			planner = newCohortPlanner(algo, selRNG, n, k, s.churn)
 			planner.next, planner.drawn = st.plannerNext, st.drawn
-			netRNG = tensor.RestoreRNG(st.net)
 			acct = st.acct
 			return nil
 		})
@@ -348,6 +358,19 @@ func readRunState(d *dec, algo string, rounds, n, k int) (*runState, error) {
 	}
 	return st, nil
 }
+
+// streamCaps returns the most base draws each of Run's snapshotted
+// streams can have made (tensor.DrawCap): the selection stream draws one
+// cohort per planned round, selectionCalls(n, k) calls at most, and the
+// network stream one Split per completed round.
+func (st *runState) streamCaps(n, k int) (sel, net uint64) {
+	return tensor.DrawCap(uint64(st.plannerNext) * selectionCalls(n, k)), tensor.DrawCap(uint64(st.nextRound))
+}
+
+// selectionCalls bounds the draw calls behind one cohort: a Selector's own
+// budget of n+2k+1, plus the uniform Perm(n) that selectClients falls
+// back to when a Selector returns a short cohort.
+func selectionCalls(n, k int) uint64 { return uint64(2*n + 2*k + 1) }
 
 // selectClients asks the algorithm first and falls back to uniform random
 // selection without replacement. An active churn plan biases selection to

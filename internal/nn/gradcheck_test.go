@@ -90,7 +90,7 @@ func TestGradCheckMaxPool(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	conv := NewConv2D(g, 2, rng)
-	pool := NewMaxPool2D(2, 4, 4, 2)
+	pool := NewMaxPool2D(2, 4, 4)
 	net := NewSequential(conv, pool, NewLinear(pool.OutFeatures(), 3, rng))
 	x := rng.Randn(1, 2, 16)
 	gradCheck(t, "maxpool", net, x, []int{2, 1}, 1e-5)

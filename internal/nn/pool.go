@@ -2,44 +2,42 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"fedcross/internal/tensor"
 )
 
-// MaxPool2D performs non-overlapping max pooling over CHW images carried in
-// flattened activations. Kernel size equals stride (the common 2×2/2 case).
+// MaxPool2D performs non-overlapping 2×2 stride-2 max pooling over CHW
+// images carried in flattened activations (tensor.MaxPool2x2 gives the
+// argmax and tie rules).
 type MaxPool2D struct {
 	C, H, W int // input geometry
-	K       int // kernel = stride
 
 	argmax  []int // flat input index chosen per output element, per batch
 	batch   int
 	out, dx *tensor.Tensor
 }
 
-// NewMaxPool2D constructs a pooling layer for C×H×W inputs with kernel k.
-// H and W must be divisible by k.
-func NewMaxPool2D(c, h, w, k int) *MaxPool2D {
-	if k <= 0 || h%k != 0 || w%k != 0 {
-		panic(fmt.Sprintf("nn: MaxPool2D: kernel %d must divide %dx%d", k, h, w))
+// NewMaxPool2D constructs a 2×2 pooling layer for C×H×W inputs. H and W
+// must be even.
+func NewMaxPool2D(c, h, w int) *MaxPool2D {
+	if h%2 != 0 || w%2 != 0 {
+		panic(fmt.Sprintf("nn: MaxPool2D: 2×2 kernel must divide %dx%d", h, w))
 	}
-	return &MaxPool2D{C: c, H: h, W: w, K: k}
+	return &MaxPool2D{C: c, H: h, W: w}
 }
 
 // InFeatures returns the flattened input width.
 func (p *MaxPool2D) InFeatures() int { return p.C * p.H * p.W }
 
 // OutFeatures returns the flattened output width.
-func (p *MaxPool2D) OutFeatures() int { return p.C * (p.H / p.K) * (p.W / p.K) }
+func (p *MaxPool2D) OutFeatures() int { return p.C * (p.H / 2) * (p.W / 2) }
 
-// Forward takes the max over each k×k window.
+// Forward takes the max over each 2×2 window.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkBatch("MaxPool2D", x, p.InFeatures())
 	batch := x.Shape[0]
 	p.batch = batch
-	oh, ow := p.H/p.K, p.W/p.K
-	outLen := p.C * oh * ow
+	outLen := p.OutFeatures()
 	p.out = tensor.Ensure(p.out, batch, outLen)
 	out := p.out
 	if cap(p.argmax) < batch*outLen {
@@ -48,34 +46,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	p.argmax = p.argmax[:batch*outLen]
 	inLen := p.InFeatures()
 	for b := 0; b < batch; b++ {
-		src := x.Data[b*inLen : (b+1)*inLen]
-		dst := out.Data[b*outLen : (b+1)*outLen]
-		am := p.argmax[b*outLen : (b+1)*outLen]
-		if p.K == 2 && tensor.MaxPool2x2(dst, am, src, p.W, oh, ow, p.C) {
-			continue
-		}
-		for c := 0; c < p.C; c++ {
-			obase := c * oh * ow
-			ibase := c * p.H * p.W
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
-					for dy := 0; dy < p.K; dy++ {
-						for dx := 0; dx < p.K; dx++ {
-							idx := ibase + (oy*p.K+dy)*p.W + (ox*p.K + dx)
-							if src[idx] > best {
-								best = src[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					o := obase + oy*ow + ox
-					dst[o] = best
-					am[o] = bestIdx
-				}
-			}
-		}
+		tensor.MaxPool2x2(out.Data[b*outLen:(b+1)*outLen], p.argmax[b*outLen:(b+1)*outLen],
+			x.Data[b*inLen:(b+1)*inLen], p.W, p.H/2, p.W/2, p.C)
 	}
 	return out
 }

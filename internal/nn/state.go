@@ -147,13 +147,15 @@ func ReadIntSlice(r io.Reader) ([]int, error) {
 	if n > maxStateEntries {
 		return nil, fmt.Errorf("nn: state int slice length %d exceeds cap %d", n, maxStateEntries)
 	}
-	xs := make([]int, n)
-	for i := range xs {
+	// Grow as elements arrive: the length prefix alone must not buy an
+	// allocation larger than the bytes the stream actually delivers.
+	xs := make([]int, 0, min(n, stateChunkBytes/8))
+	for uint64(len(xs)) < n {
 		v, err := ReadI64(r)
 		if err != nil {
 			return nil, err
 		}
-		xs[i] = int(v)
+		xs = append(xs, int(v))
 	}
 	return xs, nil
 }
@@ -192,7 +194,7 @@ func ReadVectorMap(r io.Reader) (map[int]ParamVector, error) {
 	if n > maxStateEntries {
 		return nil, fmt.Errorf("nn: state map length %d exceeds cap %d", n, maxStateEntries)
 	}
-	m := make(map[int]ParamVector, n)
+	m := make(map[int]ParamVector, min(n, stateChunkBytes/8))
 	for i := uint64(0); i < n; i++ {
 		k, err := ReadI64(r)
 		if err != nil {
@@ -216,8 +218,11 @@ func WriteRNG(w io.Writer, g *tensor.RNG) error {
 	return WriteU64(w, st.Pos)
 }
 
-// ReadRNG restores a generator written by WriteRNG.
-func ReadRNG(r io.Reader) (*tensor.RNG, error) {
+// ReadRNG restores a generator written by WriteRNG. maxPos is the most
+// base draws the stream can have made (tensor.DrawCap of its owner's
+// draw calls over the configured run); a larger recorded position is an
+// error, found before any replay.
+func ReadRNG(r io.Reader, maxPos uint64) (*tensor.RNG, error) {
 	seed, err := ReadI64(r)
 	if err != nil {
 		return nil, err
@@ -226,7 +231,7 @@ func ReadRNG(r io.Reader) (*tensor.RNG, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tensor.RestoreRNG(tensor.RNGState{Seed: seed, Pos: pos}), nil
+	return tensor.RestoreRNG(tensor.RNGState{Seed: seed, Pos: pos}, maxPos)
 }
 
 // SaveState serializes the optimizer's momentum buffers (shape and data),
@@ -264,8 +269,8 @@ func (s *SGD) LoadState(r io.Reader) error {
 		s.velocity = nil
 		return nil
 	}
-	vel := make([]*tensor.Tensor, n)
-	for i := range vel {
+	vel := make([]*tensor.Tensor, 0, min(n, stateChunkBytes/8))
+	for i := uint64(0); i < n; i++ {
 		shape, err := ReadIntSlice(r)
 		if err != nil {
 			return err
@@ -274,13 +279,35 @@ func (s *SGD) LoadState(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		t := tensor.Zeros(shape...)
-		if len(t.Data) != len(data) {
-			return fmt.Errorf("nn: SGD state tensor %d: shape %v holds %d values, stream has %d", i, shape, len(t.Data), len(data))
+		if !shapeHolds(shape, len(data)) {
+			return fmt.Errorf("nn: SGD state tensor %d: shape %v does not hold the %d values in the stream", i, shape, len(data))
 		}
-		copy(t.Data, data)
-		vel[i] = t
+		vel = append(vel, tensor.New(data, shape...))
 	}
 	s.velocity = vel
 	return nil
+}
+
+// shapeHolds reports whether shape has no negative dimension and exactly
+// n elements, checked without overflow — a stream's shape is hostile
+// until it matches the data that was actually read.
+func shapeHolds(shape []int, n int) bool {
+	left, zero := n, false
+	for _, d := range shape {
+		switch {
+		case d < 0:
+			return false
+		case d == 0:
+			zero = true
+		case !zero:
+			if left%d != 0 {
+				return false
+			}
+			left /= d
+		}
+	}
+	if zero {
+		return n == 0
+	}
+	return left == 1
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -108,7 +109,11 @@ func TestMatMulVariantsMatchReference(t *testing.T) {
 // TestMatMulParallelBitIdentical forces the row-parallel path (normally
 // reserved for large multiplies) and pins that every worker count
 // produces bit-identical output — each output row's reduction runs
-// entirely on one goroutine in a fixed order.
+// entirely on one goroutine in a fixed order. Worker counts 3, 5 and 7
+// cut the 64 rows into chunks of 22, 13 and 10, off the 4-row and 2-row
+// register-tile boundaries, so chunk edges land inside what the serial
+// call runs as one tile. TransA and GemmTransBSegAcc always run serial;
+// they share these tile kernels with NN and TransB.
 func TestMatMulParallelBitIdentical(t *testing.T) {
 	rng := NewRNG(13)
 	m, k, n := 64, 192, 192 // m*k*n > minParallelWork
@@ -122,20 +127,19 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	prev := MatMulWorkers
 	defer func() { MatMulWorkers = prev }()
 
-	MatMulWorkers = 1
-	serial := MatMul(a, b)
-	serialTB := MatMulTransB(a, bt)
-	for _, w := range []int{2, 3, 8} {
-		MatMulWorkers = w
-		par := MatMul(a, b)
-		parTB := MatMulTransB(a, bt)
-		for i := range serial.Data {
-			if par.Data[i] != serial.Data[i] {
-				t.Fatalf("workers=%d: MatMul differs at %d", w, i)
-			}
-			if parTB.Data[i] != serialTB.Data[i] {
-				t.Fatalf("workers=%d: MatMulTransB differs at %d", w, i)
-			}
+	variants := []struct {
+		name string
+		run  func() *Tensor
+	}{
+		{"MatMul", func() *Tensor { return MatMul(a, b) }},
+		{"MatMulTransB", func() *Tensor { return MatMulTransB(a, bt) }},
+	}
+	for _, v := range variants {
+		MatMulWorkers = 1
+		serial := v.run()
+		for _, w := range []int{2, 3, 5, 7, 8} {
+			MatMulWorkers = w
+			equalBits(t, fmt.Sprintf("%s workers=%d", v.name, w), v.run().Data, serial.Data)
 		}
 	}
 }
@@ -207,6 +211,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"MatMulAcc", func() { MatMulAcc(mm, a, bt) }},
 		{"MatMulTransBTo", func() { MatMulTransBTo(mm, a, b) }},
 		{"MatMulTransBAcc", func() { MatMulTransBAcc(mm, a, b) }},
+		{"MatMulTransBSegAcc", func() { MatMulTransBSegAcc(mm, a, b, 8) }},
 		{"AXPY", func() { AXPY(0.5, a, dst) }},
 		{"Ensure", func() { dst = Ensure(dst, 16, 24) }},
 	}

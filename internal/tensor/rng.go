@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -90,13 +91,36 @@ func (g *RNG) State() RNGState { return RNGState{Seed: g.seed, Pos: g.src.n} }
 // RestoreRNG rebuilds a generator at a snapshotted position by replaying
 // (and discarding) the consumed prefix of its stream. Replay costs one
 // Int63 per consumed draw — cheap even for selection streams that Perm
-// over large populations every round.
-func RestoreRNG(st RNGState) *RNG {
+// over large populations every round, but linear in Pos, which a crafted
+// snapshot controls. maxPos is therefore required: the most base draws
+// the stream can have consumed, which callers derive with DrawCap from
+// the shape of the run the snapshot claims. A larger Pos fails before
+// any replay.
+func RestoreRNG(st RNGState, maxPos uint64) (*RNG, error) {
+	if st.Pos > maxPos {
+		return nil, fmt.Errorf("tensor: RNG stream position %d exceeds the %d draws the run can have made", st.Pos, maxPos)
+	}
 	g := NewRNG(st.Seed)
 	for g.src.n < st.Pos {
 		g.src.Int63()
 	}
-	return g
+	return g, nil
+}
+
+// DrawCap bounds the base draws behind `calls` draw calls of the kinds
+// the library makes on snapshotted streams: Int63, Float64, Intn,
+// Normal, Split, and each entry of a Perm or Shuffle. Every such call
+// takes one base draw unless it rejects a sample and redraws — Intn(n)
+// with probability below n/2^31, Shuffle's swaps below n/2^32, Normal's
+// ziggurat about 1.2% per attempt, Float64 2^-53 — so a stream needs
+// more than 2·calls + 64 draws only with vanishing probability, while a
+// position beyond it costs a restore at most a small multiple of the
+// draws the run itself made. The result saturates instead of wrapping.
+func DrawCap(calls uint64) uint64 {
+	if calls > (math.MaxUint64-64)/2 {
+		return math.MaxUint64
+	}
+	return 2*calls + 64
 }
 
 // Split derives an independent child generator; use it to give each client
@@ -106,8 +130,8 @@ func (g *RNG) Split() *RNG {
 }
 
 // SplitState is Split as a snapshot: it consumes the same parent draw,
-// and RestoreRNG of its result is the child Split would return, built
-// only when it is first needed.
+// and NewRNG of its seed is the child Split would return, built only
+// when it is first needed.
 func (g *RNG) SplitState() RNGState { return RNGState{Seed: g.r.Int63()} }
 
 // SplitN derives n independent children in one call, in order. It is the

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -351,7 +352,10 @@ func TestRNGDeterminism(t *testing.T) {
 			h.Normal(0, 1)
 		}
 		st := h.State()
-		r := RestoreRNG(st)
+		r, err := RestoreRNG(st, st.Pos)
+		if err != nil {
+			t.Fatalf("%d draws: %v", draws, err)
+		}
 		if r.State() != st {
 			t.Fatalf("%d draws: restored State() %+v, want %+v", draws, r.State(), st)
 		}
@@ -360,6 +364,30 @@ func TestRNGDeterminism(t *testing.T) {
 				t.Fatalf("%d draws: restored draw %d = %d, want %d", draws, i, got, want)
 			}
 		}
+	}
+}
+
+// TestRestoreRNGRejectsPositionPastCap: a position beyond the caller's
+// cap fails before any replay — a crafted 2^40 would otherwise spin for
+// hours — while a position at the cap still restores exactly.
+func TestRestoreRNGRejectsPositionPastCap(t *testing.T) {
+	start := time.Now()
+	if _, err := RestoreRNG(RNGState{Seed: 3, Pos: 1 << 40}, DrawCap(1000)); err == nil {
+		t.Fatal("position 2^40 restored under a cap of DrawCap(1000)")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("rejecting a huge position took %v", d)
+	}
+	h := NewRNG(3)
+	for i := 0; i < 100; i++ {
+		h.Intn(7)
+	}
+	r, err := RestoreRNG(h.State(), h.State().Pos)
+	if err != nil || r.Int63() != h.Int63() {
+		t.Fatalf("restore at the cap: %v", err)
+	}
+	if got := DrawCap(math.MaxUint64 / 2); got != math.MaxUint64 {
+		t.Fatalf("DrawCap wrapped to %d", got)
 	}
 }
 
@@ -570,7 +598,10 @@ func TestSplitNMatchesConsecutiveSplits(t *testing.T) {
 		if st := child.State(); st != (RNGState{Seed: seed}) {
 			t.Fatalf("child %d: undrawn State() = %+v, want {%d 0}", i, st, seed)
 		}
-		restored := RestoreRNG(child.State())
+		restored, err := RestoreRNG(child.State(), 0)
+		if err != nil {
+			t.Fatalf("child %d: %v", i, err)
+		}
 		eager := rand.New(rand.NewSource(seed))
 		for d := 0; d < 3; d++ {
 			want := eager.Int63()
